@@ -13,6 +13,10 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo build --release"
 cargo build --workspace --release --offline
 
+echo "==> perfbench: build and test the benchmark package (its own workspace, so the steps above never compile it)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test (workspace)"
 cargo test --workspace --offline -q
 

@@ -12,7 +12,7 @@ use ratucker::timings::ALL_PHASES;
 use ratucker::RaResult;
 use ratucker_datasets::{DatasetSpec, TOLERANCES, TOLERANCE_LABELS};
 use ratucker_tensor::dense::DenseTensor;
-use ratucker_tensor::scalar::Scalar;
+use ratucker_tensor::io::IoScalar;
 use std::time::Instant;
 
 /// The three starting-rank policies of §4.2.
@@ -119,7 +119,7 @@ pub struct DatasetReport {
 }
 
 /// Runs the full §4.2 experiment for one dataset at the given precision.
-pub fn run_dataset_experiment<T: Scalar>(spec: &DatasetSpec) -> DatasetReport {
+pub fn run_dataset_experiment<T: IoScalar>(spec: &DatasetSpec) -> DatasetReport {
     println!("[dataset] generating {} …", spec.name);
     let x: DenseTensor<T> = spec.build();
     let dims = x.shape().dims().to_vec();

@@ -51,11 +51,9 @@ pub mod params;
 pub use params::{ParamError, Params};
 
 use ratucker::checkpoint::CheckpointPolicy;
-use ratucker::dist::{
-    dist_hooi, dist_ra_hooi, dist_ra_hooi_checkpointed, dist_sthosvd, DistRunResult,
-};
+use ratucker::dist::{dist_hooi, dist_sthosvd, DistRunResult};
 use ratucker::prelude::*;
-use ratucker::{dist_ra_hooi_resilient, ResilienceConfig, ResilientOutcome};
+use ratucker::{dist_ra_hooi_resilient, ResilienceConfig};
 use ratucker::{Timings, ALL_PHASES};
 use ratucker_dist::{AbftMode, DistTensor, OverlapMode};
 use ratucker_mpi::{CartGrid, DeadlinePolicy, RetryPolicy, Universe};
@@ -407,6 +405,12 @@ pub fn run_hooi_driver<T: IoScalar>(
                     (`HOOI-Adapt Threshold` > 0)"
             .into());
     }
+    // Without resilience keys an RA run is the plain preset, plus the
+    // checkpoint policy if one was given.
+    let res = resilience.unwrap_or(ResilienceConfig {
+        checkpoint: ckpt,
+        ..ResilienceConfig::plain()
+    });
     let p: usize = grid.iter().product();
     install_threads(threads(params)?);
     let deadline = deadline_policy(params)?;
@@ -436,8 +440,8 @@ pub fn run_hooi_driver<T: IoScalar>(
                 dims: x.shape().dims().to_vec(),
                 grid: grid.clone(),
                 ranks: peak_ranks,
-                buddy_degree: resilience.as_ref().map_or(0, |r| r.buddy_degree),
-                abft: resilience.as_ref().is_some_and(|r| r.abft != AbftMode::Off),
+                buddy_degree: res.buddy_degree,
+                abft: res.abft != AbftMode::Off,
                 elem_bytes: std::mem::size_of::<T>(),
             };
             match admit(&mp, budget) {
@@ -484,21 +488,10 @@ pub fn run_hooi_driver<T: IoScalar>(
             retry,
             mem,
             overlap,
-            move |g, xd| match (&resilience, &ckpt) {
-                (Some(res), _) => {
-                    let out =
-                        dist_ra_hooi_resilient(g, xd, &ra, res).unwrap_or_else(|e| panic!("{e}"));
-                    match out {
-                        ResilientOutcome::Completed { result, .. } => *result,
-                        other => panic!(
-                            "driver run without fault injection did not complete: the \
-                             resilient solver returned {other:?} (phase timings: {})",
-                            other.timings().summary()
-                        ),
-                    }
-                }
-                (None, Some(policy)) => dist_ra_hooi_checkpointed(g, xd, &ra, policy),
-                (None, None) => dist_ra_hooi(g, xd, &ra),
+            move |g, xd| {
+                dist_ra_hooi_resilient(g, xd, &ra, &res)
+                    .unwrap_or_else(|e| panic!("{e}"))
+                    .expect_completed()
             },
         )
     } else {

@@ -495,8 +495,12 @@ impl Comm {
                 return Ok(survivors);
             } else {
                 // Vote, then wait for the leader's verdict.
-                if self.fabric.ctrl_send(me, leader, vec![me as u64]).is_err() {
-                    continue; // leader already dead: re-elect
+                match self.fabric.ctrl_send(me, leader, vec![me as u64]) {
+                    Ok(()) => {}
+                    Err(CommError::PeerClosed { .. }) => continue, // leader died: re-elect
+                    // Demoted: the caller itself was retired, and
+                    // re-electing would retry the same refused send.
+                    Err(e) => return Err(e),
                 }
                 match self.fabric.ctrl_recv::<u64>(leader, me) {
                     Ok(payload) => {

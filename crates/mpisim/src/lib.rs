@@ -306,6 +306,29 @@ mod collective_tests {
     }
 
     #[test]
+    fn a_demoted_member_leaves_agreement_with_a_typed_error() {
+        use std::time::Duration;
+        // Rank 2 is retired by the failure detector while alive, then
+        // joins agreement. Its vote is refused, so it must leave with
+        // `Demoted` rather than re-electing the same leader forever.
+        let u = Universe::new(3);
+        u.set_recv_timeout(Duration::from_secs(10));
+        let out = u.run(|c| {
+            if c.rank() == 2 {
+                c.fabric().retire(2);
+            }
+            c.try_agree()
+        });
+        assert_eq!(out[0], Ok(vec![0, 1]));
+        assert_eq!(out[1], Ok(vec![0, 1]));
+        assert!(
+            matches!(out[2], Err(CommError::Demoted { rank: 2 })),
+            "{:?}",
+            out[2]
+        );
+    }
+
+    #[test]
     fn counters_stay_consistent_under_injected_drop() {
         use std::time::Duration;
         // Regression (satellite): a collective aborting mid-fanout due to

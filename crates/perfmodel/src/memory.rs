@@ -57,10 +57,11 @@ impl MemProblem {
 /// phase (TTM and Gram staging never coexist).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemEstimate {
-    /// The rank's resident tensor block.
+    /// The rank's resident tensor block. The RA-HOSI-DT loop borrows
+    /// the caller's block, so it is counted once; the block a shrink
+    /// re-blocks onto the smaller grid is recovery memory, outside this
+    /// fault-free estimate.
     pub block: u64,
-    /// The caller-retained input copy (the driver clones the block).
-    pub input_copy: u64,
     /// Buddy replicas of `degree` predecessor blocks.
     pub replicas: u64,
     /// Factor matrices, replicated on every rank.
@@ -78,7 +79,6 @@ impl MemEstimate {
     /// of the two (mutually exclusive) staging phases.
     pub fn peak(&self) -> u64 {
         self.block
-            + self.input_copy
             + self.replicas
             + self.factors
             + self.core
@@ -138,7 +138,6 @@ pub fn estimate_peak(prob: &MemProblem, rung: u8) -> MemEstimate {
 
     MemEstimate {
         block,
-        input_copy: block,
         replicas: prob.buddy_degree as u64 * block,
         factors: factors * e,
         core: core * e,

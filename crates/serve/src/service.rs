@@ -11,7 +11,6 @@
 use crate::job::{CompressSpec, JobId, JobOutcome, JobState, QuerySpec, RecoverySummary, Request};
 use crate::queue::{FairQueue, QueueFull};
 use crate::store::{CoreStore, StoredCore};
-use ratucker::dist::dist_ra_hooi_checkpointed;
 use ratucker::{
     dist_ra_hooi_resilient, CheckpointPolicy, RaConfig, ResilienceConfig, ResilientOutcome,
     SyntheticSpec, TuckerTensor,
@@ -490,15 +489,15 @@ fn run_compress(inner: &Inner, tenant: &str, spec: &CompressSpec) -> JobOutcome 
         };
     }
 
-    let mut resilience = ResilienceConfig::default().with_buddy_degree(inner.cfg.buddy_degree);
-    let ckpt_policy = inner
-        .cfg
-        .checkpoint_dir
-        .as_ref()
-        .map(|dir| CheckpointPolicy::new(dir.join(format!("{tenant}-{}", spec.name))).every(1));
-    if let Some(policy) = &ckpt_policy {
-        resilience = resilience.with_checkpoint(policy.clone());
-    }
+    let resilience = ResilienceConfig {
+        buddy_degree: inner.cfg.buddy_degree,
+        checkpoint: inner
+            .cfg
+            .checkpoint_dir
+            .as_ref()
+            .map(|dir| CheckpointPolicy::new(dir.join(format!("{tenant}-{}", spec.name)))),
+        ..ResilienceConfig::default()
+    };
 
     // Admission control against the daemon budget: growth-capped
     // worst-case ranks, as the CLI driver does.
@@ -538,44 +537,7 @@ fn run_compress(inner: &Inner, tenant: &str, spec: &CompressSpec) -> JobOutcome 
     inner.universe.set_start_rung(start_rung);
 
     let traffic_before = inner.universe.traffic().kind_totals();
-    let generator = SyntheticSpec::new(&spec.dims, &spec.construction_ranks, spec.noise, spec.seed);
-    let results = {
-        let gd = grid_dims.clone();
-        let gen = generator.clone();
-        let ra = ra.clone();
-        let resilience = resilience.clone();
-        inner.universe.try_run(move |c| {
-            let scope = JobScope::begin();
-            let grid = CartGrid::new(c, &gd);
-            let x = DistTensor::scatter_from_replicated(&grid, &gen.build::<f64>());
-            match dist_ra_hooi_resilient(&grid, &x, &ra, &resilience) {
-                Ok(ResilientOutcome::Completed {
-                    result,
-                    grid,
-                    report,
-                }) => {
-                    let tucker = result.tucker.gather(&grid);
-                    RankVerdict::Done {
-                        tucker: Box::new(tucker),
-                        rel_error: result.rel_error,
-                        summary: RecoverySummary {
-                            recoveries: report.recoveries,
-                            restored_ranks: report.restored_ranks,
-                            demoted_ranks: report.demoted_ranks,
-                            final_grid: report.final_grid,
-                            resumed_from_checkpoint: false,
-                        },
-                        hwm: scope.peak(),
-                    }
-                }
-                Ok(ResilientOutcome::Spare { .. }) => RankVerdict::Spare { hwm: scope.peak() },
-                Ok(ResilientOutcome::FallbackToCheckpoint { dead, reason, .. }) => {
-                    RankVerdict::Fallback { dead, reason }
-                }
-                Err(e) => RankVerdict::CommError(e.to_string()),
-            }
-        })
-    };
+    let results = run_ranks(inner, spec, &grid_dims, &ra, &resilience);
     // The plan (if any) was for this job alone; a warm universe re-arms
     // plan op-counters on every run, so clear it before the next job.
     if has_plan {
@@ -583,7 +545,7 @@ fn run_compress(inner: &Inner, tenant: &str, spec: &CompressSpec) -> JobOutcome 
     }
     inner.universe.set_start_rung(0);
 
-    let outcome = reduce_compress(inner, tenant, spec, &grid_dims, &ra, &ckpt_policy, results);
+    let outcome = reduce_compress(inner, tenant, spec, &grid_dims, &ra, &resilience, results);
     let delta = inner
         .universe
         .traffic()
@@ -593,85 +555,112 @@ fn run_compress(inner: &Inner, tenant: &str, spec: &CompressSpec) -> JobOutcome 
     outcome
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Runs one compress job's RA-HOSI-DT on the warm universe and returns
+/// each rank's verdict.
+fn run_ranks(
+    inner: &Inner,
+    spec: &CompressSpec,
+    grid_dims: &[usize],
+    ra: &RaConfig,
+    resilience: &ResilienceConfig,
+) -> Vec<Result<RankVerdict, ratucker_mpi::RankFailure>> {
+    let gen = SyntheticSpec::new(&spec.dims, &spec.construction_ranks, spec.noise, spec.seed);
+    inner.universe.try_run(move |c| {
+        let scope = JobScope::begin();
+        let grid = CartGrid::new(c, grid_dims);
+        let x = DistTensor::scatter_from_replicated(&grid, &gen.build::<f64>());
+        match dist_ra_hooi_resilient(&grid, &x, ra, resilience) {
+            Ok(ResilientOutcome::Completed {
+                result,
+                grid,
+                report,
+            }) => {
+                let tucker = result.tucker.gather(&grid);
+                RankVerdict::Done {
+                    tucker: Box::new(tucker),
+                    rel_error: result.rel_error,
+                    summary: RecoverySummary {
+                        recoveries: report.recoveries,
+                        restored_ranks: report.restored_ranks,
+                        demoted_ranks: report.demoted_ranks,
+                        final_grid: report.final_grid,
+                        resumed_from_checkpoint: false,
+                    },
+                    hwm: scope.peak(),
+                }
+            }
+            Ok(ResilientOutcome::Spare { .. }) => RankVerdict::Spare { hwm: scope.peak() },
+            Ok(ResilientOutcome::FallbackToCheckpoint { dead, reason, .. }) => {
+                RankVerdict::Fallback { dead, reason }
+            }
+            Err(e) => RankVerdict::CommError(e.to_string()),
+        }
+    })
+}
+
+/// Reduces the per-rank verdicts of a compress job to its outcome. When
+/// the run fell back to the checkpoint, it is resumed once under the
+/// checkpointed preset on a healthy universe run (the one-shot plan is
+/// already cleared).
 fn reduce_compress(
     inner: &Inner,
     tenant: &str,
     spec: &CompressSpec,
     grid_dims: &[usize],
     ra: &RaConfig,
-    ckpt_policy: &Option<CheckpointPolicy>,
-    results: Vec<Result<RankVerdict, ratucker_mpi::RankFailure>>,
+    resilience: &ResilienceConfig,
+    mut results: Vec<Result<RankVerdict, ratucker_mpi::RankFailure>>,
 ) -> JobOutcome {
     let mut done: Option<(Box<TuckerTensor<f64>>, f64, RecoverySummary)> = None;
     let mut peak = 0u64;
     let mut fallback: Option<String> = None;
     let mut first_error: Option<String> = None;
-    for result in results {
-        let verdict = match result {
-            Ok(v) => v,
-            Err(f) => {
-                first_error.get_or_insert(format!("rank {} crashed: {}", f.rank, f.message));
-                continue;
-            }
-        };
-        match verdict {
-            RankVerdict::Done {
-                tucker,
-                rel_error,
-                summary,
-                hwm,
-            } => {
-                peak = peak.max(hwm);
-                if done.is_none() {
-                    done = Some((tucker, rel_error, summary));
+    let mut resumed = false;
+    loop {
+        for result in results {
+            let verdict = match result {
+                Ok(v) => v,
+                Err(f) => {
+                    first_error.get_or_insert(format!("rank {} crashed: {}", f.rank, f.message));
+                    continue;
+                }
+            };
+            match verdict {
+                RankVerdict::Done {
+                    tucker,
+                    rel_error,
+                    summary,
+                    hwm,
+                } => {
+                    peak = peak.max(hwm);
+                    let summary = RecoverySummary {
+                        resumed_from_checkpoint: resumed,
+                        ..summary
+                    };
+                    done.get_or_insert((tucker, rel_error, summary));
+                }
+                RankVerdict::Spare { hwm } => peak = peak.max(hwm),
+                RankVerdict::Fallback { dead, reason } => {
+                    fallback.get_or_insert(format!("dead ranks {dead:?}: {reason}"));
+                }
+                RankVerdict::CommError(e) => {
+                    first_error.get_or_insert(e);
                 }
             }
-            RankVerdict::Spare { hwm } => peak = peak.max(hwm),
-            RankVerdict::Fallback { dead, reason } => {
-                fallback.get_or_insert(format!("dead ranks {dead:?}: {reason}"));
+        }
+        match (&done, &fallback, &resilience.checkpoint) {
+            (None, Some(_), Some(policy)) if !resumed => {
+                resumed = true;
+                let resume = ResilienceConfig::plain().with_checkpoint(policy.clone().resuming());
+                results = run_ranks(inner, spec, grid_dims, ra, &resume);
             }
-            RankVerdict::CommError(e) => {
-                first_error.get_or_insert(e);
-            }
+            _ => break,
         }
     }
-
-    if done.is_none() {
-        if let (Some(why), Some(policy)) = (&fallback, ckpt_policy) {
-            // Disk fallback: the failure exceeded online recovery, but
-            // every survivor checkpointed. Resume on a healthy universe
-            // run (the one-shot plan is already cleared).
-            let resume = policy.clone().resuming();
-            let gd = grid_dims.to_vec();
-            let gen =
-                SyntheticSpec::new(&spec.dims, &spec.construction_ranks, spec.noise, spec.seed);
-            let ra = ra.clone();
-            let resumed = inner.universe.try_run(move |c| {
-                let scope = JobScope::begin();
-                let grid = CartGrid::new(c, &gd);
-                let x = DistTensor::scatter_from_replicated(&grid, &gen.build::<f64>());
-                let res = dist_ra_hooi_checkpointed(&grid, &x, &ra, &resume);
-                let tucker = res.tucker.gather(&grid);
-                (Box::new(tucker), res.rel_error, scope.peak())
-            });
-            for r in resumed.into_iter().flatten() {
-                peak = peak.max(r.2);
-                if done.is_none() {
-                    let summary = RecoverySummary {
-                        resumed_from_checkpoint: true,
-                        final_grid: grid_dims.to_vec(),
-                        ..RecoverySummary::default()
-                    };
-                    done = Some((r.0, r.1, summary));
-                }
-            }
-            if done.is_none() {
-                return JobOutcome::Failed {
-                    reason: format!("checkpoint resume failed after fallback ({why})"),
-                };
-            }
-        }
+    if let (true, None, Some(why)) = (resumed, &done, &fallback) {
+        return JobOutcome::Failed {
+            reason: format!("checkpoint resume failed after fallback ({why})"),
+        };
     }
 
     match done {
@@ -865,6 +854,37 @@ mod tests {
         assert!(report.partition_ok);
         assert_eq!(report.stored_cores, 1);
         assert!(report.global_traffic.total_bytes() > 0);
+    }
+
+    #[test]
+    fn unrecoverable_crash_resumes_from_the_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("ratucker_serve_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // No buddy replicas: a crash cannot be recovered online, so the
+        // job must fall back and resume from its checkpoint.
+        let service = Service::start(ServeConfig {
+            p: 2,
+            query_workers: 1,
+            buddy_degree: 0,
+            checkpoint_dir: Some(dir.clone()),
+            recv_timeout: Duration::from_secs(5),
+            ..ServeConfig::default()
+        });
+        service.inject_fault_plan(FaultPlan::quiet(53).with_crash(1, 60));
+        let id = service.submit("acme", small_compress("field", 42)).unwrap();
+        let (outcome, _) = service.wait(id);
+        let JobOutcome::Compressed {
+            rel_error,
+            recovery,
+            ..
+        } = &outcome
+        else {
+            panic!("the resumed compress must complete, got {outcome:?}");
+        };
+        assert!(recovery.resumed_from_checkpoint, "{recovery:?}");
+        assert!(*rel_error <= 0.2, "missed eps: {rel_error}");
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

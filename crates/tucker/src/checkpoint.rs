@@ -15,11 +15,13 @@
 //! ([`expansion_rng`]) from `(seed, sweep index)` alone, so a resumed
 //! sweep draws exactly the columns the uninterrupted run would have.
 //!
-//! In the distributed driver the factors are replicated, so a single
-//! checkpoint file serves every rank: rank 0 writes it, and on resume
-//! each rank reads the same file (writes are atomic via a temp-file
-//! rename, so a reader never observes a partial checkpoint).
+//! Both rank-adaptive loops go through `resume_point` and
+//! `save_point`. In the distributed loop the factors are replicated,
+//! so a single checkpoint file serves every rank: rank 0 writes it, and
+//! on resume each rank reads the same file (writes are atomic via a
+//! temp-file rename, so a reader never observes a partial checkpoint).
 
+use crate::ra::RaConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ratucker_tensor::io::IoScalar;
@@ -343,68 +345,60 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Hook pair the rank-adaptive loops call around each sweep; the no-op
-/// implementation keeps the plain entry points free of any I/O bound.
-pub(crate) trait RaCheckpointer<T: Scalar> {
-    /// Loads the state to resume from, if any.
-    fn resume(
-        &mut self,
-        seed: u64,
-        eps: f64,
-        dims: &[usize],
-        x_norm_sq: f64,
-    ) -> Option<Checkpoint<T>>;
-    /// Persists the state entering a sweep.
-    fn save(&mut self, ck: &Checkpoint<T>);
-}
-
-/// Checkpointer that never saves or resumes.
-pub(crate) struct NoCheckpoint;
-
-impl<T: Scalar> RaCheckpointer<T> for NoCheckpoint {
-    fn resume(&mut self, _: u64, _: f64, _: &[usize], _: f64) -> Option<Checkpoint<T>> {
-        None
-    }
-    fn save(&mut self, _: &Checkpoint<T>) {}
-}
-
-/// File-backed checkpointer driven by a [`CheckpointPolicy`].
+/// Loads the checkpoint a run resumes from: the latest one in
+/// `policy.dir`, when the policy resumes and the directory holds one.
 ///
-/// `write` gates the save side: in the distributed driver only grid rank
-/// 0 writes (the state is replicated), while every rank resumes.
-pub(crate) struct FileCheckpointer<'a> {
-    pub policy: &'a CheckpointPolicy,
-    pub write: bool,
+/// # Panics
+/// If the checkpoint cannot be read, does not belong to this run (see
+/// [`Checkpoint::validate`]), or lies at or past `config.max_iters`.
+pub(crate) fn resume_point<T: IoScalar>(
+    policy: Option<&CheckpointPolicy>,
+    config: &RaConfig,
+    dims: &[usize],
+    x_norm_sq: f64,
+) -> Option<Checkpoint<T>> {
+    let path = policy.filter(|p| p.resume)?.latest_path()?;
+    let ck = Checkpoint::<T>::load(&path)
+        .unwrap_or_else(|e| panic!("failed to load checkpoint {}: {e}", path.display()));
+    if let Err(msg) = ck.validate(config.inner.seed, config.eps, dims, x_norm_sq) {
+        panic!("refusing to resume from {}: {msg}", path.display());
+    }
+    assert!(
+        ck.sweep < config.max_iters,
+        "checkpoint is at sweep {} but this run caps at {} sweeps",
+        ck.sweep,
+        config.max_iters
+    );
+    Some(ck)
 }
 
-impl<T: IoScalar> RaCheckpointer<T> for FileCheckpointer<'_> {
-    fn resume(
-        &mut self,
-        seed: u64,
-        eps: f64,
-        dims: &[usize],
-        x_norm_sq: f64,
-    ) -> Option<Checkpoint<T>> {
-        if !self.policy.resume {
-            return None;
-        }
-        let path = self.policy.latest_path()?;
-        let ck = Checkpoint::<T>::load(&path)
-            .unwrap_or_else(|e| panic!("failed to load checkpoint {}: {e}", path.display()));
-        if let Err(msg) = ck.validate(seed, eps, dims, x_norm_sq) {
-            panic!("refusing to resume from {}: {msg}", path.display());
-        }
-        Some(ck)
-    }
-
-    fn save(&mut self, ck: &Checkpoint<T>) {
-        if !self.write || !self.policy.should_save(ck.sweep) {
-            return;
-        }
-        let path = self.policy.path_for(ck.sweep);
-        ck.save(&path)
-            .unwrap_or_else(|e| panic!("failed to write checkpoint {}: {e}", path.display()));
-    }
+/// Writes the state entering `sweep` when `policy` schedules that sweep.
+///
+/// # Panics
+/// If the checkpoint cannot be written.
+pub(crate) fn save_point<T: IoScalar>(
+    policy: Option<&CheckpointPolicy>,
+    sweep: usize,
+    config: &RaConfig,
+    x_norm_sq: f64,
+    ranks: &[usize],
+    factors: &[Matrix<T>],
+) {
+    let Some(policy) = policy.filter(|p| p.should_save(sweep)) else {
+        return;
+    };
+    let ck = Checkpoint {
+        sweep,
+        seed: config.inner.seed,
+        eps: config.eps,
+        x_norm_sq,
+        dims: factors.iter().map(|u| u.rows()).collect(),
+        ranks: ranks.to_vec(),
+        factors: factors.to_vec(),
+    };
+    let path = policy.path_for(sweep);
+    ck.save(&path)
+        .unwrap_or_else(|e| panic!("failed to write checkpoint {}: {e}", path.display()));
 }
 
 #[cfg(test)]

@@ -14,14 +14,11 @@
 //! are bit-identical to the blocking ones (DESIGN.md §17), so every
 //! algorithm here is oblivious to the knob — it changes wall-clock only.
 
-use crate::checkpoint::{
-    expansion_rng, Checkpoint, CheckpointPolicy, FileCheckpointer, NoCheckpoint, RaCheckpointer,
-};
-use crate::core_analysis::analyze_core;
 use crate::hooi::{HooiConfig, LlsvStrategy, TtmStrategy};
 use crate::llsv::robust_sym_evd;
 use crate::llsv::Truncation;
 use crate::ra::RaConfig;
+use crate::recover::{dist_ra_hooi_resilient, ResilienceConfig};
 use crate::sthosvd::SthosvdTruncation;
 use crate::timings::{Phase, Timings};
 use crate::tucker_tensor::TuckerTensor;
@@ -34,7 +31,6 @@ use ratucker_mpi::CartGrid;
 use ratucker_mpi::CommError;
 use ratucker_tensor::io::IoScalar;
 use ratucker_tensor::matrix::Matrix;
-use ratucker_tensor::random::{normal_matrix, orthonormalize_columns};
 use ratucker_tensor::scalar::Scalar;
 use ratucker_tensor::ttm::Transpose;
 
@@ -99,11 +95,6 @@ pub(crate) struct SweepCtx {
 }
 
 impl SweepCtx {
-    /// Context with checksums disabled (the legacy panicking drivers).
-    pub fn off() -> Self {
-        SweepCtx::new(AbftMode::Off)
-    }
-
     /// Context with the given checksum policy.
     pub fn new(abft: AbftMode) -> Self {
         SweepCtx {
@@ -273,7 +264,7 @@ pub fn dist_sthosvd<T: Scalar>(
     let d = x.global_shape().order();
     let x_norm_sq = x.squared_norm(grid);
     let mut timings = Timings::new();
-    let mut ctx = SweepCtx::off();
+    let mut ctx = SweepCtx::new(AbftMode::Off);
     let mut y = x.clone();
     let mut factors = Vec::with_capacity(d);
     for j in 0..d {
@@ -415,7 +406,7 @@ pub fn dist_hooi<T: Scalar>(
     // Same seed on every rank → identical replicated factors.
     let mut factors = crate::hooi::random_init::<T>(&dims, ranks, config.seed);
     let mut timings = Timings::new();
-    let mut ctx = SweepCtx::off();
+    let mut ctx = SweepCtx::new(AbftMode::Off);
     let mut sweep_errors = Vec::new();
     let mut core = None;
     let mut prev_err = f64::INFINITY;
@@ -453,174 +444,22 @@ pub fn dist_hooi<T: Scalar>(
 /// The core is allgathered (cost `r^d`, the Table 2 "Core Analysis" row)
 /// and the eq.-(3) search runs redundantly on every rank, so truncation
 /// decisions are identical everywhere without extra coordination.
-pub fn dist_ra_hooi<T: Scalar>(
-    grid: &CartGrid,
-    x: &DistTensor<T>,
-    config: &RaConfig,
-) -> DistRunResult<T> {
-    dist_ra_hooi_impl(grid, x, config, &mut NoCheckpoint)
-}
-
-/// Distributed rank-adaptive HOOI with checkpoint/restart. Collective.
 ///
-/// Factors and ranks are replicated, so a single checkpoint file serves
-/// the whole grid: grid rank 0 writes it (atomically), and with
-/// `policy.resume` every rank reads the latest checkpoint itself before
-/// the first sweep. The growth RNG is derived per sweep, so the resumed
-/// run reproduces the uninterrupted decomposition bit for bit on every
-/// rank. `policy.dir` must name a filesystem location shared by all
-/// ranks (trivially true in the threaded runtime).
+/// This is [`dist_ra_hooi_resilient`] under [`ResilienceConfig::plain`];
+/// for checkpoint/restart, call it with
+/// `ResilienceConfig::plain().with_checkpoint(policy)`.
 ///
 /// # Panics
-/// Panics if a checkpoint exists but cannot be read or does not match
-/// this run's seed/ε/tensor (see [`Checkpoint::validate`]).
-pub fn dist_ra_hooi_checkpointed<T: IoScalar>(
+/// On the first communication failure, with the triggering error, and
+/// wherever [`dist_ra_hooi_resilient`] panics.
+pub fn dist_ra_hooi<T: IoScalar>(
     grid: &CartGrid,
     x: &DistTensor<T>,
     config: &RaConfig,
-    policy: &CheckpointPolicy,
 ) -> DistRunResult<T> {
-    let mut ckpt = FileCheckpointer {
-        policy,
-        write: grid.comm.rank() == 0,
-    };
-    dist_ra_hooi_impl(grid, x, config, &mut ckpt)
-}
-
-fn dist_ra_hooi_impl<T: Scalar>(
-    grid: &CartGrid,
-    x: &DistTensor<T>,
-    config: &RaConfig,
-    ckpt: &mut impl RaCheckpointer<T>,
-) -> DistRunResult<T> {
-    let dims: Vec<usize> = x.global_shape().dims().to_vec();
-    if let Err(msg) = config.validate(&dims) {
-        panic!("infeasible rank-adaptive configuration: {msg}");
-    }
-    let x_norm_sq = x.squared_norm(grid);
-    let threshold = (1.0 - config.eps * config.eps) * x_norm_sq;
-
-    let mut ranks: Vec<usize> = config
-        .initial_ranks
-        .iter()
-        .zip(&dims)
-        .map(|(&r, &n)| r.min(n).max(1))
-        .collect();
-    let mut factors = crate::hooi::random_init::<T>(&dims, &ranks, config.inner.seed);
-    let mut start_sweep = 0;
-    if let Some(ck) = ckpt.resume(config.inner.seed, config.eps, &dims, x_norm_sq) {
-        assert!(
-            ck.sweep < config.max_iters,
-            "checkpoint is at sweep {} but this run caps at {} sweeps",
-            ck.sweep,
-            config.max_iters
-        );
-        start_sweep = ck.sweep;
-        ranks = ck.ranks;
-        factors = ck.factors;
-    }
-
-    let mut timings = Timings::new();
-    let mut sweep_errors = Vec::new();
-    let mut sweep_ranks = Vec::new();
-    let mut result_core: Option<DistTensor<T>> = None;
-    let mut met = false;
-
-    for it in start_sweep..config.max_iters {
-        ckpt.save(&Checkpoint {
-            sweep: it,
-            seed: config.inner.seed,
-            eps: config.eps,
-            x_norm_sq,
-            dims: dims.clone(),
-            ranks: ranks.clone(),
-            factors: factors.clone(),
-        });
-        let core = try_dist_sweep(
-            grid,
-            x,
-            &mut factors,
-            &ranks,
-            &config.inner,
-            &mut timings,
-            &mut SweepCtx::off(),
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        let core_norm_sq = core.squared_norm(grid);
-        let met_now = core_norm_sq >= threshold;
-
-        if met_now {
-            met = true;
-            // Gather the (small) core everywhere and truncate redundantly.
-            let core_repl = timings.time(Phase::Other, || core.gather_replicated(grid));
-            let analysis = timings.time(Phase::CoreAnalysis, || {
-                let _s = ratucker_obs::span(&grid.comm, "CoreAnalysis");
-                analyze_core(&core_repl, &dims, x_norm_sq, config.eps)
-            });
-            if let Some(a) = analysis {
-                // Keep ranks at least the grid dims so local blocks stay
-                // nonempty (a distributed-implementation constraint the
-                // sequential path does not have).
-                let new_ranks: Vec<usize> = a
-                    .ranks
-                    .iter()
-                    .zip(grid.dims())
-                    .map(|(&r, &p)| r.max(p))
-                    .collect();
-                let full = TuckerTensor::new(core_repl, factors.clone());
-                let trunc = full.truncate(&new_ranks);
-                ranks = new_ranks;
-                factors = trunc.factors.clone();
-                result_core = Some(DistTensor::scatter_from_replicated(grid, &trunc.core));
-                let err = trunc.rel_error_from_core(x_norm_sq);
-                sweep_errors.push(err);
-            } else {
-                result_core = Some(core);
-                sweep_errors.push(((x_norm_sq - core_norm_sq).max(0.0) / x_norm_sq).sqrt());
-            }
-            sweep_ranks.push(ranks.clone());
-            if config.stop_on_threshold {
-                break;
-            }
-        } else {
-            sweep_errors.push(((x_norm_sq - core_norm_sq).max(0.0) / x_norm_sq).sqrt());
-            result_core = Some(core);
-            let grown: Vec<usize> = ranks
-                .iter()
-                .zip(&dims)
-                .map(|(&r, &n)| (((r as f64) * config.alpha).ceil() as usize).min(n))
-                .collect();
-            if grown != ranks {
-                // Same per-sweep RNG derivation as the sequential path:
-                // pure in (seed, sweep), so all ranks and any resumed run
-                // append identical columns.
-                let mut rng = expansion_rng(config.inner.seed, it);
-                for (k, u) in factors.iter_mut().enumerate() {
-                    if grown[k] > u.cols() {
-                        let extra = normal_matrix::<T, _>(u.rows(), grown[k] - u.cols(), &mut rng);
-                        let mut ext = u.hcat(&extra);
-                        orthonormalize_columns(&mut ext, u.cols());
-                        *u = ext;
-                    }
-                }
-                ranks = grown;
-            }
-            sweep_ranks.push(ranks.clone());
-        }
-    }
-
-    let _ = met;
-    let rel_error = *sweep_errors.last().unwrap();
-    DistRunResult {
-        tucker: DistTucker {
-            core: result_core.expect("max_iters must be at least 1"),
-            factors,
-        },
-        rel_error,
-        timings,
-        sweep_errors,
-        sweep_ranks,
-    }
+    dist_ra_hooi_resilient(grid, x, config, &ResilienceConfig::plain())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .expect_completed()
 }
 
 #[cfg(test)]
@@ -756,75 +595,6 @@ mod tests {
             // Same final ranks as the sequential run (deterministic seeds,
             // modulo the grid-dims floor which is inactive here).
             assert_eq!(ranks, seq.tucker.ranks());
-        }
-    }
-
-    #[test]
-    fn dist_checkpoint_resume_matches_uninterrupted_run() {
-        let spec = SyntheticSpec::new(&[12, 10, 8], &[3, 3, 2], 0.01, 213);
-        let cfg = RaConfig::ra_hosi_dt(0.05, &[2, 2, 2])
-            .with_seed(19)
-            .with_alpha(2.0)
-            .with_max_iters(3);
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("ratucker_dist_ckpt_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Fault-free run, writing checkpoints as it goes.
-        let policy = CheckpointPolicy::new(&dir);
-        let (s, c2, p2) = (spec.clone(), cfg.clone(), policy.clone());
-        let reference = Universe::launch(4, move |c| {
-            let grid = CartGrid::new(c, &[2, 2, 1]);
-            let (x, _) = build_dist::<f64>(&grid, &s);
-            let res = dist_ra_hooi_checkpointed(&grid, &x, &c2, &p2);
-            (res.rel_error, res.tucker.gather(&grid))
-        });
-        let sweeps = std::fs::read_dir(&dir).unwrap().count();
-        assert!(
-            sweeps >= 2,
-            "need a multi-sweep run, saw {sweeps} checkpoints"
-        );
-
-        // Simulate a crash after sweep 1: drop later checkpoints, resume.
-        for sweep in 2..cfg.max_iters {
-            let _ = std::fs::remove_file(policy.path_for(sweep));
-        }
-        let (s, c2) = (spec.clone(), cfg.clone());
-        let p2 = policy.clone().resuming();
-        let resumed = Universe::launch(4, move |c| {
-            let grid = CartGrid::new(c, &[2, 2, 1]);
-            let (x, _) = build_dist::<f64>(&grid, &s);
-            let res = dist_ra_hooi_checkpointed(&grid, &x, &c2, &p2);
-            (res.rel_error, res.tucker.gather(&grid))
-        });
-        for ((err_a, tk_a), (err_b, tk_b)) in resumed.iter().zip(&reference) {
-            assert_eq!(err_a, err_b);
-            assert_eq!(tk_a.ranks(), tk_b.ranks());
-            assert_eq!(tk_a.core.max_abs_diff(&tk_b.core), 0.0);
-            for (ua, ub) in tk_a.factors.iter().zip(&tk_b.factors) {
-                assert_eq!(ua.max_abs_diff(ub), 0.0);
-            }
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn dist_ra_undershoot_grows_ranks() {
-        let spec = SyntheticSpec::new(&[12, 10, 8], &[3, 3, 2], 0.01, 211);
-        let cfg = RaConfig::ra_hosi_dt(0.05, &[2, 2, 2])
-            .with_seed(17)
-            .with_alpha(2.0)
-            .with_max_iters(3);
-        let s = spec.clone();
-        let out = Universe::launch(2, move |c| {
-            let grid = CartGrid::new(c, &[2, 1, 1]);
-            let (x, _) = build_dist::<f64>(&grid, &s);
-            let res = dist_ra_hooi(&grid, &x, &cfg);
-            (res.rel_error, res.sweep_ranks.clone())
-        });
-        for (err, sweep_ranks) in out {
-            assert!(err <= 0.05, "tolerance violated: {err}");
-            assert!(sweep_ranks[0] > vec![2, 2, 2] || sweep_ranks.len() > 1);
         }
     }
 }

@@ -8,14 +8,11 @@
 //! back the sweep; the paper's flagship is the dimension-tree + subspace-
 //! iteration combination (RA-HOSI-DT).
 
-use crate::checkpoint::{
-    expansion_rng, Checkpoint, CheckpointPolicy, FileCheckpointer, NoCheckpoint, RaCheckpointer,
-};
+use crate::checkpoint::{expansion_rng, resume_point, save_point, CheckpointPolicy};
 use crate::core_analysis::analyze_core;
 use crate::hooi::{run_sweep, HooiConfig};
 use crate::timings::{Phase, Timings};
 use crate::tucker_tensor::TuckerTensor;
-use rand::rngs::StdRng;
 use ratucker_tensor::dense::DenseTensor;
 use ratucker_tensor::io::IoScalar;
 use ratucker_tensor::matrix::Matrix;
@@ -153,20 +150,43 @@ pub struct RaResult<T: Scalar> {
     pub rel_error: f64,
 }
 
-/// Grows a factor matrix from `r` to `r_new` columns by appending random
-/// columns orthonormalized against the existing basis.
-fn expand_factor<T: Scalar>(u: &Matrix<T>, r_new: usize, rng: &mut StdRng) -> Matrix<T> {
-    let r_old = u.cols();
-    debug_assert!(r_new > r_old);
-    let extra = normal_matrix::<T, _>(u.rows(), r_new - r_old, rng);
-    let mut ext = u.hcat(&extra);
-    orthonormalize_columns(&mut ext, r_old);
-    ext
+/// Alg. 3 line 9, shared by the sequential and distributed loops: grows
+/// every rank by α (capped at the dimensions) and widens each factor
+/// that grew with random columns orthonormalized against its basis.
+/// Returns the grown ranks.
+///
+/// The columns come from [`expansion_rng`]`(seed, sweep)` in mode order,
+/// so every rank, any retry after a recovery, and any resumed run append
+/// identical columns.
+pub(crate) fn grow_ranks<T: Scalar>(
+    factors: &mut [Matrix<T>],
+    ranks: &[usize],
+    dims: &[usize],
+    config: &RaConfig,
+    sweep: usize,
+) -> Vec<usize> {
+    let grown: Vec<usize> = ranks
+        .iter()
+        .zip(dims)
+        .map(|(&r, &n)| (((r as f64) * config.alpha).ceil() as usize).min(n))
+        .collect();
+    if grown != ranks {
+        let mut rng = expansion_rng(config.inner.seed, sweep);
+        for (u, &r_new) in factors.iter_mut().zip(&grown) {
+            if r_new > u.cols() {
+                let extra = normal_matrix::<T, _>(u.rows(), r_new - u.cols(), &mut rng);
+                let mut ext = u.hcat(&extra);
+                orthonormalize_columns(&mut ext, u.cols());
+                *u = ext;
+            }
+        }
+    }
+    grown
 }
 
 /// Runs rank-adaptive HOOI (Alg. 3).
-pub fn ra_hooi<T: Scalar>(x: &DenseTensor<T>, config: &RaConfig) -> RaResult<T> {
-    ra_hooi_impl(x, config, &mut NoCheckpoint)
+pub fn ra_hooi<T: IoScalar>(x: &DenseTensor<T>, config: &RaConfig) -> RaResult<T> {
+    ra_hooi_impl(x, config, None)
 }
 
 /// Runs rank-adaptive HOOI with checkpoint/restart.
@@ -180,26 +200,19 @@ pub fn ra_hooi<T: Scalar>(x: &DenseTensor<T>, config: &RaConfig) -> RaResult<T> 
 ///
 /// # Panics
 /// Panics if a checkpoint exists but cannot be read, or does not match
-/// this run's seed/ε/tensor (see [`Checkpoint::validate`]).
+/// this run's seed/ε/tensor (see [`crate::Checkpoint::validate`]).
 pub fn ra_hooi_checkpointed<T: IoScalar>(
     x: &DenseTensor<T>,
     config: &RaConfig,
     policy: &CheckpointPolicy,
 ) -> RaResult<T> {
-    ra_hooi_impl(
-        x,
-        config,
-        &mut FileCheckpointer {
-            policy,
-            write: true,
-        },
-    )
+    ra_hooi_impl(x, config, Some(policy))
 }
 
-fn ra_hooi_impl<T: Scalar>(
+fn ra_hooi_impl<T: IoScalar>(
     x: &DenseTensor<T>,
     config: &RaConfig,
-    ckpt: &mut impl RaCheckpointer<T>,
+    policy: Option<&CheckpointPolicy>,
 ) -> RaResult<T> {
     let dims: Vec<usize> = x.shape().dims().to_vec();
     if let Err(msg) = config.validate(&dims) {
@@ -216,13 +229,7 @@ fn ra_hooi_impl<T: Scalar>(
         .collect();
     let mut factors = crate::hooi::random_init::<T>(&dims, &ranks, config.inner.seed);
     let mut start_sweep = 0;
-    if let Some(ck) = ckpt.resume(config.inner.seed, config.eps, &dims, x_norm_sq) {
-        assert!(
-            ck.sweep < config.max_iters,
-            "checkpoint is at sweep {} but this run caps at {} sweeps",
-            ck.sweep,
-            config.max_iters
-        );
+    if let Some(ck) = resume_point(policy, config, &dims, x_norm_sq) {
         start_sweep = ck.sweep;
         ranks = ck.ranks;
         factors = ck.factors;
@@ -234,15 +241,7 @@ fn ra_hooi_impl<T: Scalar>(
     let mut tucker: Option<TuckerTensor<T>> = None;
 
     for it in start_sweep..config.max_iters {
-        ckpt.save(&Checkpoint {
-            sweep: it,
-            seed: config.inner.seed,
-            eps: config.eps,
-            x_norm_sq,
-            dims: dims.clone(),
-            ranks: ranks.clone(),
-            factors: factors.clone(),
-        });
+        save_point(policy, it, config, x_norm_sq, &ranks, &factors);
         let mut t = Timings::new();
         let core = run_sweep(x, &mut factors, &ranks, &config.inner, &mut t);
         let core_norm_sq = core.squared_norm_f64();
@@ -272,26 +271,10 @@ fn ra_hooi_impl<T: Scalar>(
             }
             tucker = Some(chosen);
         } else {
-            // Alg. 3 line 9: grow ranks by α, capped at the dimensions.
             let full = TuckerTensor::new(core, factors.clone());
             rel_error = full.rel_error_from_core(x_norm_sq);
             tucker = Some(full);
-            let grown: Vec<usize> = ranks
-                .iter()
-                .zip(&dims)
-                .map(|(&r, &n)| (((r as f64) * config.alpha).ceil() as usize).min(n))
-                .collect();
-            if grown != ranks {
-                // The growth RNG is a pure function of (seed, sweep) so a
-                // checkpoint-resumed run draws the same columns.
-                let mut rng = expansion_rng(config.inner.seed, it);
-                for (k, u) in factors.iter_mut().enumerate() {
-                    if grown[k] > u.cols() {
-                        *u = expand_factor(u, grown[k], &mut rng);
-                    }
-                }
-                ranks = grown;
-            }
+            ranks = grow_ranks(&mut factors, &ranks, &dims, config, it);
             ranks_out = ranks.clone();
             truncated = false;
         }

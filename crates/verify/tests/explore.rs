@@ -287,14 +287,28 @@ fn p4_straggler_demotion_converges_to_identical_state_under_25_schedules() {
 #[test]
 fn p8_budget_pressure_converges_to_identical_state_under_25_schedules() {
     use ratucker::{dist_ra_hooi_resilient, ResilienceConfig, ResilientOutcome};
+    use ratucker_perfmodel::{estimate_peak, MemProblem};
 
-    // The chaos-suite scenario-14 cell: rank 3's budget shrinks to
-    // 28800 B at its own fabric op 60 — program-order deterministic on
-    // the pressured rank, and far from a sweep-commit boundary, so the
-    // refusal always lands mid-sweep. The ladder verdict travels the
-    // revocation-immune ctrl plane, so every schedule must agree rung 1
-    // and finish bit-identical on the full grid.
-    let plan = FaultPlan::quiet(67).with_mem_pressure(3, 60, 28_800);
+    // The chaos-suite scenario-14 cell: at its own fabric op 60, rank 3's
+    // budget shrinks to the projected rung-0 TTM-phase working set of
+    // the grown-rank sweeps (resident block, factors, core, the
+    // pre-sweep factor snapshot, rung-0 TTM staging) — program-order
+    // deterministic on the pressured rank, and far from a sweep-commit
+    // boundary, so the refusal always lands mid-sweep. The ladder
+    // verdict travels the revocation-immune ctrl plane, so every
+    // schedule must agree rung 1 and finish bit-identical on the full
+    // grid.
+    let grown = MemProblem {
+        dims: vec![24, 20, 16],
+        grid: vec![2, 2, 2],
+        ranks: vec![6, 6, 4],
+        buddy_degree: 0,
+        abft: false,
+        elem_bytes: 8,
+    };
+    let e = estimate_peak(&grown, 0);
+    let budget = e.block + e.replicas + 2 * e.factors + e.core + e.ttm_staging;
+    let plan = FaultPlan::quiet(67).with_mem_pressure(3, 60, budget);
     let u = Universe::with_fault_plan(8, plan);
     u.set_recv_timeout(Duration::from_secs(60));
     let report = u.explore(N_SCHEDULES, 0xB4D6, move |c| {
@@ -308,6 +322,7 @@ fn p8_budget_pressure_converges_to_identical_state_under_25_schedules() {
         let res = ResilienceConfig::default().with_buddy_degree(0);
         match dist_ra_hooi_resilient(&grid, &x, &cfg, &res).expect("no rank errors out") {
             ResilientOutcome::Completed { result, report, .. } => {
+                assert!(report.max_rung >= 1, "the budget must engage the ladder");
                 let mut out = vec![1u64, report.max_rung as u64];
                 out.extend(report.final_grid.iter().map(|&d| d as u64));
                 out.push(result.rel_error.to_bits());

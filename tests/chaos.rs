@@ -71,9 +71,10 @@ use ra_hooi::mpi::{
     CartGrid, CorruptMode, DeadlinePolicy, FaultPlan, RankFailure, RetryPolicy, Universe,
 };
 use ra_hooi::obs::StragglerPolicy;
+use ra_hooi::perfmodel::{estimate_peak, MemEstimate, MemProblem};
 use ra_hooi::prelude::*;
 use ra_hooi::serve::{CompressSpec, JobOutcome, QuerySpec, Request, ServeConfig, Service};
-use ra_hooi::tucker::dist::{dist_hooi, dist_ra_hooi, dist_ra_hooi_checkpointed, dist_sthosvd};
+use ra_hooi::tucker::dist::{dist_hooi, dist_ra_hooi, dist_sthosvd, DistRunResult};
 use ra_hooi::tucker::{dist_ra_hooi_resilient, ResilienceConfig, ResilientOutcome};
 use ratucker_verify::tolerances::TOL_DIST_REL_ERROR;
 
@@ -100,6 +101,19 @@ fn assert_typed(f: &RankFailure) {
         f.rank,
         f.message
     );
+}
+
+/// The checkpointed preset: the plain preset plus RTCK checkpoints.
+fn dist_ra_hooi_checkpointed(
+    grid: &CartGrid,
+    x: &DistTensor<f64>,
+    cfg: &RaConfig,
+    policy: &CheckpointPolicy,
+) -> DistRunResult<f64> {
+    let res = ResilienceConfig::plain().with_checkpoint(policy.clone());
+    dist_ra_hooi_resilient(grid, x, cfg, &res)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .expect_completed()
 }
 
 fn ckpt_dir(name: &str) -> PathBuf {
@@ -975,14 +989,35 @@ fn mid_sweep_budget_shrink_engages_ladder_and_converges() {
     })[0];
     assert!(ref_err <= cfg.eps, "reference missed ε: {ref_err}");
 
-    // Rank 3's budget shrinks to 28800 B at fabric op 60: enough for the
-    // resident working set but below the rung-0 TTM staging peak of the
-    // grown-rank sweeps. Replication is off so the budget bites inside
-    // the sweep (far from the sweep-commit boundary), which keeps the
-    // recovery deterministic: the refused allocation revokes the data
-    // plane, every rank agrees rung 1 on the ctrl plane, and the sweep
-    // retries with chunked TTM reductions that fit.
-    let plan = FaultPlan::quiet(67).with_mem_pressure(3, 60, 28_800);
+    // Rank 3's budget shrinks at fabric op 60 to the projected TTM-phase
+    // working set of the grown-rank sweeps at rung 0: the resident
+    // block, factors, core and the solver's pre-sweep factor snapshot,
+    // plus the rung-0 TTM staging. The rung-0 staging peak exceeds it
+    // once in-flight message buffers (which admission covers with its
+    // margin) ride on top; the chunked rung-1 staging fits. The window
+    // is narrow: budgets of about 20.9-21.3 kB engage rung 1 here, and
+    // smaller ones refuse an allocation at the first sweep's commit.
+    // Replication is off so the budget bites inside the sweep (far
+    // from the sweep-commit boundary), which keeps the recovery
+    // deterministic: the refused allocation revokes the data plane,
+    // every rank agrees rung 1 on the ctrl plane, and the sweep retries
+    // with chunked TTM reductions that fit.
+    let grown = MemProblem {
+        dims: spec.dims.clone(),
+        grid: vec![2, 2, 2],
+        ranks: vec![6, 6, 4],
+        buddy_degree: 0,
+        abft: false,
+        elem_bytes: 8,
+    };
+    let ttm_phase = |e: MemEstimate| e.block + e.replicas + 2 * e.factors + e.core + e.ttm_staging;
+    let budget = ttm_phase(estimate_peak(&grown, 0));
+    let rung1 = ttm_phase(estimate_peak(&grown, 1));
+    assert!(
+        rung1 < budget,
+        "rung 1 must be projected to fit: {rung1} B vs budget {budget} B"
+    );
+    let plan = FaultPlan::quiet(67).with_mem_pressure(3, 60, budget);
     let u = Universe::with_fault_plan(8, plan);
     u.set_recv_timeout(Duration::from_secs(5));
     let s = spec.clone();
