@@ -60,6 +60,29 @@ if [ "$OVL_ELAPSED" -ge 60 ]; then
   exit 1
 fi
 
+echo "==> flake list (trace_pipeline, ratucker-obs, chaos: 10 runs each under the default parallel runner)"
+# Names every test that failed in any repetition, with its failure
+# count, so a nondeterministic test surfaces as a list.
+FLAKES=target/ci-flakes.txt
+: > "$FLAKES"
+for suite in "--test trace_pipeline" "-p ratucker-obs" "--test chaos"; do
+  for rep in $(seq 1 10); do
+    # shellcheck disable=SC2086 # $suite is two words on purpose
+    if ! cargo test -q --offline --no-fail-fast $suite > target/ci-repeat.log 2>&1; then
+      named=$(sed -n 's/^---- \(.*\) stdout ----$/\1/p' target/ci-repeat.log)
+      if [ -z "$named" ]; then
+        named="<run $rep failed without a named test; see cargo output>"
+      fi
+      printf '%s\n' "$named" | sed "s|^|$suite: |" >> "$FLAKES"
+    fi
+  done
+done
+if [ -s "$FLAKES" ]; then
+  echo "tests that failed in at least one of 10 runs (count, suite: test):" >&2
+  sort "$FLAKES" | uniq -c >&2
+  exit 1
+fi
+
 echo "==> chaos smoke (single-threaded: fault scenarios share wall-clock budgets)"
 cargo test -q --offline --test chaos -- --test-threads=1
 

@@ -101,7 +101,8 @@ fn bench_ttm_overlap(c: &mut Criterion) {
                         // test dominates the scatter and thread-spawn cost.
                         let mut acc = 0.0f32;
                         for _ in 0..6 {
-                            let y = ratucker_dist::dist_ttm(&grid, &xd, 1, &m, Transpose::Yes);
+                            let y = ratucker_dist::try_dist_ttm(&grid, &xd, 1, &m, Transpose::Yes)
+                                .unwrap();
                             acc += y.local().data()[0];
                         }
                         acc

@@ -31,8 +31,8 @@ fn traced_run(
     ranks: &[usize],
 ) -> Trace {
     let p: usize = grid_dims.iter().product();
-    let session = TraceSession::start();
     let u = Universe::new(p);
+    let session = TraceSession::start(&u);
     u.run(|c| {
         let grid = CartGrid::new(c, grid_dims);
         // Root span *after* grid construction (CartGrid consumes the

@@ -538,7 +538,6 @@ fn run_collective<T: IoScalar>(
     overlap: OverlapMode,
     run: impl Fn(&CartGrid, &DistTensor<T>) -> DistRunResult<T> + Sync,
 ) -> (DriverOutcome, TuckerTensor<T>) {
-    let session = trace_out.map(|_| ratucker_obs::TraceSession::start());
     let universe = Universe::new(p);
     universe
         .set_deadline_policy(deadline)
@@ -548,6 +547,7 @@ fn run_collective<T: IoScalar>(
             .set_mem_budget(Some(budget))
             .set_start_rung(start_rung);
     }
+    let session = trace_out.map(|_| ratucker_obs::TraceSession::start(&universe));
     let results = universe.run(|c| {
         ratucker_dist::set_overlap(overlap);
         let grid = CartGrid::new(c, grid_dims);

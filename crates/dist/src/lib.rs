@@ -6,10 +6,10 @@
 //! of the distribution this crate implements the three parallel kernels
 //! the Tucker algorithms need:
 //!
-//! - [`ops::dist_ttm`] — TTM with reduce-scatter along the mode fiber;
-//! - [`ops::dist_gram`] — unfolding Gram via fiber all-to-all
+//! - [`ops::try_dist_ttm`] — TTM with reduce-scatter along the mode fiber;
+//! - [`ops::try_dist_gram`] — unfolding Gram via fiber all-to-all
 //!   redistribution + local rank-k update + allreduce;
-//! - [`ops::dist_contract`] — the paper's new all-but-one contraction for
+//! - [`ops::try_dist_contract`] — the paper's new all-but-one contraction for
 //!   subspace iteration (§3.4), with sum-reduce + broadcast so each rank
 //!   runs the subsequent QR redundantly.
 
@@ -26,9 +26,8 @@ pub mod replica;
 pub use distribution::{block_len, block_offset, block_range, owner_of, BlockRange, TensorDist};
 pub use dtensor::DistTensor;
 pub use ops::{
-    dist_contract, dist_gram, dist_multi_ttm_all_but, dist_ttm, try_dist_contract, try_dist_gram,
-    try_dist_gram_checked, try_dist_multi_ttm_all_but, try_dist_ttm, try_dist_ttm_checked,
-    AbftMode,
+    try_dist_contract, try_dist_gram, try_dist_gram_checked, try_dist_multi_ttm_all_but,
+    try_dist_ttm, try_dist_ttm_checked, AbftMode,
 };
 pub use overlap::{overlap, set_overlap, OverlapMode};
 pub use redistribute::{try_redistribute, BlockPiece};

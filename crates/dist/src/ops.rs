@@ -5,14 +5,14 @@
 //! the paper adds (§3.4). Communication patterns follow the paper's cost
 //! analysis:
 //!
-//! - **TTM** (`dist_ttm`): local multiply against the owned row/column
+//! - **TTM** (`try_dist_ttm`): local multiply against the owned row/column
 //!   block of the (replicated) matrix, then a *reduce-scatter* along the
 //!   mode's fiber sub-communicator — cost `(local size)·(P_j − 1)` words,
 //!   the Table 2 TTM term.
-//! - **Gram** (`dist_gram`): *all-to-all* along the fiber to a 1D column
+//! - **Gram** (`try_dist_gram`): *all-to-all* along the fiber to a 1D column
 //!   layout (cost `(local size)·(P_j − 1)/P_j`), local rank-k update, then
 //!   an allreduce of the `n_j × n_j` result — the Table 2 LLSV terms.
-//! - **Contraction** (`dist_contract`): fully local against the matching
+//! - **Contraction** (`try_dist_contract`): fully local against the matching
 //!   block of the replicated core, then sum-reduction + broadcast of the
 //!   `n_j × r_j` iterate so every rank can run the QR redundantly — §3.4's
 //!   "sum reduction followed by a broadcast … local QR decompositions".
@@ -857,54 +857,6 @@ pub fn try_dist_contract<T: Scalar>(
     Ok(Matrix::from_vec(n_j, r_j, summed))
 }
 
-// -------------------------------------------------------------------
-// Legacy panicking wrappers
-// -------------------------------------------------------------------
-
-/// Distributed TTM: `Y = X ×_mode op(M)` with `M` replicated on every rank.
-/// Panicking wrapper over [`try_dist_ttm`].
-pub fn dist_ttm<T: Scalar>(
-    grid: &CartGrid,
-    x: &DistTensor<T>,
-    mode: usize,
-    m: &Matrix<T>,
-    trans: Transpose,
-) -> DistTensor<T> {
-    try_dist_ttm(grid, x, mode, m, trans).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Distributed multi-TTM with every factor transposed, skipping
-/// `skip_mode` (Alg. 2 line 5), applying modes in increasing order.
-/// Panicking wrapper over [`try_dist_multi_ttm_all_but`].
-pub fn dist_multi_ttm_all_but<T: Scalar>(
-    grid: &CartGrid,
-    x: &DistTensor<T>,
-    factors: &[Matrix<T>],
-    skip_mode: usize,
-) -> DistTensor<T> {
-    try_dist_multi_ttm_all_but(grid, x, factors, skip_mode).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Distributed Gram of the mode-`mode` unfolding: returns the replicated
-/// `n_mode × n_mode` matrix `X_(mode) X_(mode)ᵀ` on every rank. Collective.
-/// Panicking wrapper over [`try_dist_gram`].
-pub fn dist_gram<T: Scalar>(grid: &CartGrid, x: &DistTensor<T>, mode: usize) -> Matrix<T> {
-    try_dist_gram(grid, x, mode).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Distributed all-but-one contraction (the new §3.4 kernel):
-/// `Z = Y_(mode) G_(mode)ᵀ` with `core` the *replicated* current core
-/// tensor. Returns the replicated `n_mode × r_mode` iterate. Collective.
-/// Panicking wrapper over [`try_dist_contract`].
-pub fn dist_contract<T: Scalar>(
-    grid: &CartGrid,
-    y: &DistTensor<T>,
-    core: &DenseTensor<T>,
-    mode: usize,
-) -> Matrix<T> {
-    try_dist_contract(grid, y, core, mode).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -945,7 +897,7 @@ mod tests {
                 let results = Universe::launch(p, move |c| {
                     let grid = CartGrid::new(c, &gd);
                     let x = DistTensor::from_fn(&grid, Shape::new(&dims), global_value);
-                    let y = dist_ttm(&grid, &x, mode, &uu, Transpose::Yes);
+                    let y = try_dist_ttm(&grid, &x, mode, &uu, Transpose::Yes).unwrap();
                     y.gather_replicated(&grid)
                 });
                 for got in results {
@@ -966,7 +918,7 @@ mod tests {
             let grid = CartGrid::new(c, &[2, 2]);
             let x = DistTensor::from_fn(&grid, Shape::new(&dims), global_value);
             let u = factor(6, 4, 9);
-            let y = dist_ttm(&grid, &x, 0, &u, Transpose::Yes);
+            let y = try_dist_ttm(&grid, &x, 0, &u, Transpose::Yes).unwrap();
             (
                 y.local().shape().dims().to_vec(),
                 y.gather_replicated(&grid),
@@ -990,7 +942,9 @@ mod tests {
         let results = Universe::launch(2, move |c| {
             let grid = CartGrid::new(c, &[1, 2]);
             let x = DistTensor::from_fn(&grid, Shape::new(&dims), global_value);
-            dist_ttm(&grid, &x, 1, &mm, Transpose::No).gather_replicated(&grid)
+            try_dist_ttm(&grid, &x, 1, &mm, Transpose::No)
+                .unwrap()
+                .gather_replicated(&grid)
         });
         for got in results {
             assert!(got.max_abs_diff(&want) < 1e-11);
@@ -1008,7 +962,9 @@ mod tests {
             let results = Universe::launch(4, move |c| {
                 let grid = CartGrid::new(c, &[2, 1, 2]);
                 let x = DistTensor::from_fn(&grid, Shape::new(&dims), global_value);
-                dist_multi_ttm_all_but(&grid, &x, &fs, skip).gather_replicated(&grid)
+                try_dist_multi_ttm_all_but(&grid, &x, &fs, skip)
+                    .unwrap()
+                    .gather_replicated(&grid)
             });
             for got in results {
                 assert!(got.max_abs_diff(&want) < 1e-11, "skip {skip}");
@@ -1034,7 +990,7 @@ mod tests {
                 let results = Universe::launch(p, move |c| {
                     let grid = CartGrid::new(c, &gd);
                     let x = DistTensor::from_fn(&grid, Shape::new(&dims), global_value);
-                    dist_gram(&grid, &x, mode)
+                    try_dist_gram(&grid, &x, mode).unwrap()
                 });
                 for got in results {
                     assert!(
@@ -1233,7 +1189,7 @@ mod tests {
                 let results = Universe::launch(p, move |c| {
                     let grid = CartGrid::new(c, &gd);
                     let y = DistTensor::from_fn(&grid, Shape::new(&dims), global_value);
-                    dist_contract(&grid, &y, &core2, mode)
+                    try_dist_contract(&grid, &y, &core2, mode).unwrap()
                 });
                 for got in results {
                     assert!(

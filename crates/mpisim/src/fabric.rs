@@ -18,6 +18,7 @@
 //! [`CommError::PeerClosed`] results.
 
 use crate::fault::{CommError, CorruptMode, FaultPlan};
+use crate::trace::Tracer;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -841,6 +842,8 @@ pub struct Fabric {
     fault: Mutex<Option<Arc<FaultState>>>,
     /// Optional schedule-perturbation state (`None` ⇔ [`SchedulePolicy::Os`]).
     schedule: Mutex<Option<Arc<ScheduleState>>>,
+    /// Per-rank span recording, armed by a [`crate::trace::TraceSession`].
+    pub(crate) tracer: Tracer,
 }
 
 impl Fabric {
@@ -861,6 +864,7 @@ impl Fabric {
             retry: Mutex::new(None),
             fault: Mutex::new(None),
             schedule: Mutex::new(None),
+            tracer: Tracer::new(p),
         })
     }
 

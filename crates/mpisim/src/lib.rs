@@ -11,6 +11,8 @@
 //! Every byte sent is counted ([`fabric::TrafficStats`]), which is how the
 //! communication-cost claims of the paper's Table 2 are validated against
 //! *measured* traffic rather than restated formulas.
+//! The span tracer ([`trace`]) lives on the same fabric and attributes
+//! that traffic, per rank, to phases of the run.
 //!
 //! # Example
 //!
@@ -36,6 +38,7 @@ pub mod fabric;
 pub mod fault;
 pub mod grid;
 pub mod request;
+pub mod trace;
 pub mod universe;
 
 pub use comm::{max_op, sum_op, Comm};

@@ -1,18 +1,19 @@
-//! Cross-rank trace analysis: per-phase load imbalance and a
-//! critical-path estimate.
+//! Cross-rank trace analysis: per-phase load imbalance and the sum of
+//! per-phase maxima.
 //!
-//! The input is a completed [`Trace`](crate::trace::Trace). Spans are
+//! The input is a completed [`Trace`](crate::Trace). Spans are
 //! grouped by phase label; per phase the analysis reduces each rank's
 //! **exclusive** (self) time and bytes, then reports:
 //!
 //! * **imbalance** = max-over-ranks / mean-over-ranks of self time —
 //!   1.0 is perfectly balanced, `P` is one rank doing everything;
-//! * **critical path** = Σ over phases of the *slowest* rank's self
-//!   time — the bulk-synchronous lower bound on wall time if every
-//!   phase ends with a barrier (the paper's collectives make each
-//!   sweep phase effectively bulk-synchronous).
+//! * **phase-max sum** = Σ over phases of the *slowest* rank's self
+//!   time. Each rank's traced time is a sum of its per-phase self
+//!   times, so this is an upper bound on the slowest rank's traced
+//!   time (equal when one rank is slowest in every phase) — not a
+//!   critical path, which would need the dependencies between phases.
 
-use crate::trace::{SpanEvent, Trace};
+use crate::{SpanEvent, Trace};
 use ratucker_mpi::KindSnapshot;
 use std::fmt;
 
@@ -112,33 +113,10 @@ impl PhaseBreakdown {
         self.phases.iter().find(|s| s.phase == label)
     }
 
-    /// Bulk-synchronous critical-path estimate: Σ over phases of the
-    /// slowest rank's exclusive time.
-    pub fn critical_path_secs(&self) -> f64 {
+    /// Σ over phases of the slowest rank's exclusive time: an upper
+    /// bound on the slowest rank's traced time.
+    pub fn phase_max_sum_secs(&self) -> f64 {
         self.phases.iter().map(|s| s.max_secs()).sum()
-    }
-
-    /// Critical-path estimate with comm/compute overlap credited: phases
-    /// whose label is in `labels` (e.g. `["TTM", "SI"]` under
-    /// `Overlap on`) contribute only `(1 − credit)` of their slowest-rank
-    /// time, because a `credit` fraction of each is expected to hide
-    /// behind the adjacent slab's local compute in the pipelined kernels
-    /// (DESIGN.md §17). With `credit = (S − 1)/S` for an `S`-slab
-    /// pipeline this matches `perfmodel`'s `words_with_overlap` term.
-    /// `credit` is clamped to `[0, 1]`; unlisted phases are unchanged.
-    pub fn critical_path_secs_overlapped(&self, labels: &[&str], credit: f64) -> f64 {
-        let credit = credit.clamp(0.0, 1.0);
-        self.phases
-            .iter()
-            .map(|s| {
-                let keep = if labels.contains(&s.phase) {
-                    1.0 - credit
-                } else {
-                    1.0
-                };
-                s.max_secs() * keep
-            })
-            .sum()
     }
 
     /// Mean per-rank total exclusive time (the "perfect balance" wall
@@ -177,8 +155,8 @@ impl fmt::Display for PhaseBreakdown {
         }
         write!(
             f,
-            "critical path {:.6} s   balanced {:.6} s",
-            self.critical_path_secs(),
+            "phase-max sum {:.6} s   balanced {:.6} s",
+            self.phase_max_sum_secs(),
             self.balanced_secs()
         )
     }
@@ -209,7 +187,7 @@ mod tests {
     }
 
     #[test]
-    fn imbalance_and_critical_path() {
+    fn imbalance_and_phase_max_sum() {
         // Phase A: rank0 = 3s, rank1 = 1s → mean 2, max 3, imbalance 1.5.
         // Phase B: both 1s → imbalance 1.0.
         let events = vec![
@@ -223,41 +201,20 @@ mod tests {
         assert!((a.imbalance() - 1.5).abs() < 1e-12);
         assert_eq!(a.total_bytes(), 150);
         assert!((b.phase("B").unwrap().imbalance() - 1.0).abs() < 1e-12);
-        // Critical path: 3 (A's max) + 1 (B's max) = 4 s.
-        assert!((b.critical_path_secs() - 4.0).abs() < 1e-12);
+        // Phase-max sum: 3 (A's max) + 1 (B's max) = 4 s, which bounds
+        // the slowest rank's traced time (rank 0: 3 + 1 = 4 s).
+        assert!((b.phase_max_sum_secs() - 4.0).abs() < 1e-12);
         // Balanced: (4 + 2) / 2 = 3 s.
         assert!((b.balanced_secs() - 3.0).abs() < 1e-12);
         // Display renders without panicking and mentions both phases.
         let text = format!("{b}");
-        assert!(text.contains("A") && text.contains("critical path"));
-    }
-
-    #[test]
-    fn overlapped_critical_path_credits_listed_phases_only() {
-        let events = vec![
-            ev(0, "TTM", 2_000_000, 100),
-            ev(1, "TTM", 1_000_000, 50),
-            ev(0, "LLSV", 1_000_000, 0),
-            ev(1, "LLSV", 1_000_000, 0),
-        ];
-        let b = PhaseBreakdown::from_events(&events, 2);
-        // Blocking estimate: 2 (TTM max) + 1 (LLSV max) = 3 s.
-        assert!((b.critical_path_secs() - 3.0).abs() < 1e-12);
-        // 4-slab pipeline hides 3/4 of TTM: 2·(1/4) + 1 = 1.5 s.
-        let overlapped = b.critical_path_secs_overlapped(&["TTM"], 0.75);
-        assert!((overlapped - 1.5).abs() < 1e-12);
-        // Zero credit degenerates to the blocking estimate; credit is
-        // clamped so an out-of-range value cannot go negative.
-        assert!((b.critical_path_secs_overlapped(&["TTM"], 0.0) - 3.0).abs() < 1e-12);
-        assert!(b.critical_path_secs_overlapped(&["TTM", "LLSV"], 7.0) >= 0.0);
-        // Unlisted labels are untouched.
-        assert!((b.critical_path_secs_overlapped(&["SI"], 0.75) - 3.0).abs() < 1e-12);
+        assert!(text.contains("A") && text.contains("phase-max sum"));
     }
 
     #[test]
     fn empty_and_idle_phases_are_nan_free() {
         let b = PhaseBreakdown::from_events(&[], 0);
-        assert_eq!(b.critical_path_secs(), 0.0);
+        assert_eq!(b.phase_max_sum_secs(), 0.0);
         assert_eq!(b.balanced_secs(), 0.0);
         let idle = vec![ev(0, "idle", 0, 0)];
         let b = PhaseBreakdown::from_events(&idle, 1);

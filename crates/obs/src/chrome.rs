@@ -16,7 +16,7 @@
 //! span bytes summing to the global counters — from the file alone.
 
 use crate::json::{write_escaped, Json, JsonError};
-use crate::trace::{SpanEvent, Trace};
+use crate::{SpanEvent, Trace};
 use ratucker_mpi::{CollectiveKind, KindSnapshot};
 use std::fmt;
 use std::path::Path;
@@ -336,13 +336,13 @@ pub fn validate_parsed(t: &ParsedTrace) -> Result<(), TraceFileError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{span, span_mode, TraceSession};
+    use crate::{span, span_mode, TraceSession};
     use ratucker_mpi::{sum_op, Universe};
 
     #[test]
     fn export_parse_round_trip_preserves_everything() {
-        let session = TraceSession::start();
         let u = Universe::new(3);
+        let session = TraceSession::start(&u);
         u.run(|c| {
             let _root = span(&c, "run");
             {
@@ -385,8 +385,9 @@ mod tests {
 
     #[test]
     fn validator_rejects_tampered_totals() {
-        let session = TraceSession::start();
-        Universe::launch(2, |c| {
+        let u = Universe::new(2);
+        let session = TraceSession::start(&u);
+        u.run(|c| {
             let _root = span(&c, "run");
             let _ = c.allreduce(vec![2.0f64; 4], sum_op);
         });

@@ -264,7 +264,7 @@ mod tests {
     #[test]
     fn breakdown_scores_sum_self_time_across_phases() {
         use ratucker_mpi::KindSnapshot;
-        let ev = |rank: usize, phase: &'static str, us: u64| crate::trace::SpanEvent {
+        let ev = |rank: usize, phase: &'static str, us: u64| crate::SpanEvent {
             rank,
             phase,
             mode: None,

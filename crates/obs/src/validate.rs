@@ -256,7 +256,7 @@ fn ratio_of(measured: u64, predicted: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::SpanEvent;
+    use crate::SpanEvent;
 
     fn event(rank: usize, phase: &'static str, bytes: u64) -> SpanEvent {
         let mut traffic = KindSnapshot::default();

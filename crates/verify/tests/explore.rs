@@ -81,7 +81,7 @@ fn dist_sthosvd_factors_are_bit_identical_under_25_schedules() {
 #[test]
 fn p4_pipelined_ttm_si_bit_identical_under_25_schedules() {
     use ratucker::dist::dist_hooi;
-    use ratucker_dist::dist_ttm;
+    use ratucker_dist::try_dist_ttm;
     use ratucker_tensor::{Matrix, Transpose};
 
     // Both pipelined kernels under every schedule: the mode-1 TTM over a
@@ -100,9 +100,9 @@ fn p4_pipelined_ttm_si_bit_identical_under_25_schedules() {
         let m = Matrix::from_fn(16, 8, |i, j| (((i * 8 + j) as f64) * 0.37).sin());
 
         set_overlap(OverlapMode::On);
-        let y_on = dist_ttm(&grid, &x, 1, &m, Transpose::Yes);
+        let y_on = try_dist_ttm(&grid, &x, 1, &m, Transpose::Yes).unwrap();
         set_overlap(OverlapMode::Off);
-        let y_off = dist_ttm(&grid, &x, 1, &m, Transpose::Yes);
+        let y_off = try_dist_ttm(&grid, &x, 1, &m, Transpose::Yes).unwrap();
         set_overlap(OverlapMode::On);
         assert_eq!(
             y_on.local()

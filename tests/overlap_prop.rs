@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use proptest::prelude::*;
-use ra_hooi::dist::{dist_gram, dist_ttm, DistTensor};
+use ra_hooi::dist::{try_dist_gram, try_dist_ttm, DistTensor};
 use ra_hooi::mpi::{CartGrid, FaultPlan, RetryPolicy, Universe};
 use ra_hooi::prelude::*;
 use ra_hooi::tensor::{Matrix, Transpose};
@@ -43,8 +43,8 @@ fn both_modes(c: ra_hooi::mpi::Comm, d: usize, seed: u64) -> (Vec<u64>, Vec<u64>
     });
     let run = |mode: OverlapMode| {
         set_overlap(mode);
-        let y = dist_ttm(&grid, &x, 1, &m, Transpose::Yes);
-        let g = dist_gram(&grid, &x, 1);
+        let y = try_dist_ttm(&grid, &x, 1, &m, Transpose::Yes).unwrap();
+        let g = try_dist_gram(&grid, &x, 1).unwrap();
         let mut bits: Vec<u64> = y.local().data().iter().map(|v| v.to_bits()).collect();
         bits.extend(g.as_slice().iter().map(|v| v.to_bits()));
         bits

@@ -130,8 +130,8 @@ proptest! {
         seed in 0u64..10_000,
         rounds in 1usize..=6,
     ) {
-        let session = TraceSession::start();
         let u = Universe::new(p);
+        let session = TraceSession::start(&u);
         let failures = u.run(|c| {
             let _root = span(&c, "run");
             // Same seed on every rank: collectives are a matched
@@ -221,12 +221,12 @@ proptest! {
         rounds in 1usize..=3,
     ) {
         let p = 2usize;
-        let session = TraceSession::start();
         let u = Universe::with_fault_plan(
             p,
             FaultPlan::quiet(seed).with_drops(1.0),
         );
         u.set_recv_timeout(Duration::from_millis(100));
+        let session = TraceSession::start(&u);
         let failures = u.run(|c| {
             let _root = span(&c, "run");
             // Same seed on every rank: collectives are a matched
@@ -261,8 +261,8 @@ fn sessions_isolate_their_traffic() {
         });
     });
 
-    let session = TraceSession::start();
     let u = Universe::new(p);
+    let session = TraceSession::start(&u);
     u.run(|c| {
         let _root = span(&c, "run");
         let _ = c.try_allreduce(vec![1.0f64; 8], |a, b| {
@@ -273,5 +273,43 @@ fn sessions_isolate_their_traffic() {
     });
     let trace = session.finish();
     assert_partition(&trace, &u, p);
+    assert!(trace.totals().total_bytes() > 0);
+}
+
+/// A session records its own universe only: an untraced universe that
+/// opens spans around collectives on another thread while the session
+/// is open leaves the traced universe's partition exact. B's runs all
+/// fall inside the session (it is opened before B's thread starts and
+/// finished after the scope joins it), so no timing decides the result.
+#[test]
+fn concurrent_untraced_universe_stays_out_of_the_session() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let p = 2usize;
+    let a = Universe::new(p);
+    let session = TraceSession::start(&a);
+    let a_done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            // Untraced universe B, with the same world ranks as A: at
+            // least one run, then more until A has finished.
+            let b = Universe::new(p);
+            loop {
+                b.run(|c| {
+                    let _root = span(&c, "run");
+                    random_collectives(&c, 7, 3)
+                });
+                if a_done.load(Ordering::SeqCst) {
+                    break;
+                }
+            }
+        });
+        a.run(|c| {
+            let _root = span(&c, "run");
+            random_collectives(&c, 11, 6)
+        });
+        a_done.store(true, Ordering::SeqCst);
+    });
+    let trace = session.finish();
+    assert_partition(&trace, &a, p);
     assert!(trace.totals().total_bytes() > 0);
 }
