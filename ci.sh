@@ -60,12 +60,12 @@ if [ "$OVL_ELAPSED" -ge 60 ]; then
   exit 1
 fi
 
-echo "==> flake list (trace_pipeline, ratucker-obs, chaos: 10 runs each under the default parallel runner)"
+echo "==> flake list (trace_pipeline, ratucker-obs, ratucker-mpi, chaos: 10 runs each under the default parallel runner)"
 # Names every test that failed in any repetition, with its failure
 # count, so a nondeterministic test surfaces as a list.
 FLAKES=target/ci-flakes.txt
 : > "$FLAKES"
-for suite in "--test trace_pipeline" "-p ratucker-obs" "--test chaos"; do
+for suite in "--test trace_pipeline" "-p ratucker-obs" "-p ratucker-mpi" "--test chaos"; do
   for rep in $(seq 1 10); do
     # shellcheck disable=SC2086 # $suite is two words on purpose
     if ! cargo test -q --offline --no-fail-fast $suite > target/ci-repeat.log 2>&1; then

@@ -79,7 +79,7 @@ fn bench_ttm_overlap(c: &mut Criterion) {
     // micro-delays model per-operation network latency. Overlap's win
     // lives in the jitter series: the pipelined path has the next
     // slab's GEMM queued behind every delayed fabric op, while the
-    // blocking ring serializes the same delays into rendezvous stalls.
+    // blocking path serializes the same delays into rendezvous stalls.
     for (cond, policy) in [
         ("", SchedulePolicy::Os),
         ("_jitter", SchedulePolicy::SeededRandom { seed: 17 }),

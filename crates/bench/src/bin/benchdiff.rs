@@ -1,7 +1,8 @@
 //! `benchdiff` — compares fresh bench JSON against committed baselines.
 //!
-//! Reads pairs of bench report files (the line-oriented JSON the vendored
-//! criterion stub writes via `BENCH_JSON`) and prints per-benchmark
+//! Reads pairs of bench report files (the `{"benchmarks": [...]}` JSON
+//! document the vendored criterion stub writes via `BENCH_JSON`) and
+//! prints per-benchmark
 //! deltas in ns and percent, so each PR's `BENCH_*.json` refresh carries
 //! a visible before/after trajectory. Regressions above the soft
 //! threshold produce a loud warning but never a failing exit: bench
@@ -16,6 +17,7 @@
 //! With one argument pair per suite; `--soft-threshold <pct>` overrides
 //! the default 25% warning bar.
 
+use ratucker_obs::json::Json;
 use std::fmt::Write as _;
 
 /// A benchmark's slowdown past this percentage gets a WARN line.
@@ -27,34 +29,42 @@ struct Entry {
     per_iter_ns: f64,
 }
 
-/// Extracts a string field from a single-line JSON object. The input is
-/// machine-written by our own criterion stub (one benchmark per line),
-/// so a tiny field scanner is enough — no JSON dependency.
-fn string_field(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\":");
-    let rest = &line[line.find(&tag)? + tag.len()..];
-    let rest = rest.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Extracts a numeric field from a single-line JSON object.
-fn number_field(line: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\":");
-    let rest = &line[line.find(&tag)? + tag.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn parse_report(text: &str) -> Vec<Entry> {
-    text.lines()
-        .filter_map(|line| {
+/// The records of one report; records lacking a name or a time are
+/// skipped.
+fn parse_report(text: &str) -> Result<Vec<Entry>, String> {
+    let doc = Json::parse(text).map_err(|e| e.to_string())?;
+    let records = doc
+        .get("benchmarks")
+        .and_then(Json::as_arr)
+        .ok_or("no \"benchmarks\" array")?;
+    Ok(records
+        .iter()
+        .filter_map(|r| {
             Some(Entry {
-                name: string_field(line, "name")?,
-                per_iter_ns: number_field(line, "per_iter_ns")?,
+                name: r.get("name")?.as_str()?.to_string(),
+                per_iter_ns: r.get("per_iter_ns")?.as_f64()?,
             })
         })
-        .collect()
+        .collect())
+}
+
+/// Reads and parses one report, or says why it is skipped: a missing
+/// file gets `missing_hint`, one that does not parse is named as such.
+fn load_report(path: &str, what: &str, missing_hint: &str) -> Option<Vec<Entry>> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            println!("benchdiff: no {what} {path} ({e}); {missing_hint}");
+            return None;
+        }
+    };
+    match parse_report(&text) {
+        Ok(entries) => Some(entries),
+        Err(e) => {
+            println!("benchdiff: {what} {path} is not a bench report ({e}); skipped");
+            None
+        }
+    }
 }
 
 fn human_ns(ns: f64) -> String {
@@ -68,19 +78,11 @@ fn human_ns(ns: f64) -> String {
 }
 
 fn diff_suite(baseline_path: &str, fresh_path: &str, soft_threshold_pct: f64) -> usize {
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => parse_report(&t),
-        Err(e) => {
-            println!("benchdiff: no baseline {baseline_path} ({e}); nothing to compare");
-            return 0;
-        }
+    let Some(baseline) = load_report(baseline_path, "baseline", "nothing to compare") else {
+        return 0;
     };
-    let fresh = match std::fs::read_to_string(fresh_path) {
-        Ok(t) => parse_report(&t),
-        Err(e) => {
-            println!("benchdiff: no fresh report {fresh_path} ({e}); run the benches first");
-            return 0;
-        }
+    let Some(fresh) = load_report(fresh_path, "fresh report", "run the benches first") else {
+        return 0;
     };
     println!("benchdiff: {baseline_path} -> {fresh_path}");
     let mut regressions = 0;
@@ -156,5 +158,30 @@ fn main() {
         );
     } else {
         println!("benchdiff: no regressions above {soft_threshold_pct:.0}%");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reads_a_report_in_the_committed_format() {
+        let text = "{\n\"benchmarks\": [\n\
+            {\"name\": \"gemm/64\", \"per_iter_ns\": 20138.0, \"iters\": 20},\n\
+            {\"name\": \"ttm_mode/0\", \"per_iter_ns\": 344956.5, \"iters\": 20}\n\
+            ]\n}\n";
+        let entries = parse_report(text).unwrap();
+        let got: Vec<(&str, f64)> = entries
+            .iter()
+            .map(|e| (e.name.as_str(), e.per_iter_ns))
+            .collect();
+        assert_eq!(got, vec![("gemm/64", 20138.0), ("ttm_mode/0", 344956.5)]);
+    }
+
+    #[test]
+    fn a_report_that_does_not_parse_is_an_error() {
+        assert!(parse_report("{\"benchmarks\": [").is_err());
+        assert!(parse_report("{\"other\": []}").is_err());
     }
 }

@@ -104,7 +104,7 @@ impl<T: Scalar> DistTensor<T> {
     /// Fallible variant of [`DistTensor::squared_norm`].
     pub fn try_squared_norm(&self, grid: &CartGrid) -> Result<f64, CommError> {
         let local = self.local.squared_norm_f64();
-        let summed = grid.comm.try_allreduce(vec![local], ratucker_mpi::sum_op)?;
+        let summed = grid.comm.allreduce(vec![local], ratucker_mpi::sum_op)?;
         Ok(summed[0])
     }
 
@@ -119,7 +119,7 @@ impl<T: Scalar> DistTensor<T> {
     /// Fallible variant of [`DistTensor::gather_replicated`].
     pub fn try_gather_replicated(&self, grid: &CartGrid) -> Result<DenseTensor<T>, CommError> {
         let payload = self.local.data().to_vec();
-        let blocks = grid.comm.try_allgatherv(payload)?;
+        let blocks = grid.comm.allgatherv(payload)?;
         let mut out = DenseTensor::zeros(self.dist.global().clone());
         let d = self.dist.global().order();
         for (rank, block) in blocks.into_iter().enumerate() {

@@ -120,7 +120,7 @@ fn try_alltoallv_checked<T: Scalar>(
             b
         })
         .collect();
-    let received = comm.try_alltoallv(stamped)?;
+    let received = comm.alltoallv(stamped)?;
     let mut rel_err = 0.0f64;
     let mut out = Vec::with_capacity(received.len());
     for mut b in received {
@@ -142,7 +142,7 @@ fn try_alltoallv_checked<T: Scalar>(
 /// collective.
 fn abft_verdict<T: Scalar>(grid: &CartGrid, mode: usize, local_rel: f64) -> Result<(), CommError> {
     let _span = ratucker_obs::span_mode(&grid.comm, "ABFT", mode);
-    let rel_err = grid.comm.try_verdict_max(if local_rel.is_finite() {
+    let rel_err = grid.comm.verdict_max(if local_rel.is_finite() {
         local_rel
     } else {
         f64::INFINITY
@@ -301,7 +301,7 @@ fn ttm_impl<T: Scalar>(
                 let mut chunk = mem::TrackedBuf::try_with_capacity(cap)
                     .map_err(|e| budget_error(&grid.comm, e))?;
                 pack_chunk(&mut chunk, q);
-                let reduced = fiber.try_reduce(q, chunk.into_vec(), sum_op)?;
+                let reduced = fiber.reduce(q, chunk.into_vec(), sum_op)?;
                 if fiber.rank() == q {
                     mine = reduced;
                 }
@@ -317,7 +317,7 @@ fn ttm_impl<T: Scalar>(
                 let r_q = block_range(out_dim, p_j, q);
                 counts.push(left * r_q.len * right + usize::from(abft.is_enabled()));
             }
-            fiber.try_reduce_scatter(packed.into_vec(), &counts, sum_op)?
+            fiber.reduce_scatter(packed.into_vec(), &counts, sum_op)?
         };
         if abft.is_enabled() {
             let cs = blk
@@ -366,9 +366,10 @@ fn ttm_impl<T: Scalar>(
 ///
 /// Bit-identity with the blocking path: a right-slab of the local block
 /// is contiguous, its GEMM is the right-slab restriction of the blocking
-/// GEMM (bit-equal per the §16 kernel contract), the split-phase
-/// reduce-scatter reproduces the blocking ring's exact elementwise
-/// accumulation order (fixed by rank arithmetic alone), and slabs are
+/// GEMM (bit-equal per the §16 kernel contract), the blocking path's
+/// reduce-scatter is this same split-phase operation posted and waited
+/// at once (its accumulation order is fixed by rank arithmetic alone),
+/// and slabs are
 /// waited and appended in ascending order — exactly the blocking
 /// `[left, block, right]` layout.
 #[allow(clippy::too_many_arguments)]
@@ -621,7 +622,7 @@ fn gram_impl<T: Scalar>(
             a2a_rel = rel;
             received
         } else {
-            fiber.try_alltoallv(blocks)?
+            fiber.alltoallv(blocks)?
         };
 
         // Validate the received block sizes before assembling anything.
@@ -695,7 +696,7 @@ fn gram_impl<T: Scalar>(
             payload.push(T::from_f64(sum_f64(col)));
         }
     }
-    let summed = grid.comm.try_allreduce(payload, sum_op)?;
+    let summed = grid.comm.allreduce(payload, sum_op)?;
     if abft.is_enabled() {
         // Fold the non-finite screen and the redistribution-leg error
         // into one relative error, then agree on a grid-wide verdict so
@@ -853,7 +854,7 @@ pub fn try_dist_contract<T: Scalar>(
         offset: 0,
         len: r_j,
     });
-    let summed = grid.comm.try_allreduce(embedded, sum_op)?;
+    let summed = grid.comm.allreduce(embedded, sum_op)?;
     Ok(Matrix::from_vec(n_j, r_j, summed))
 }
 

@@ -172,8 +172,8 @@ pub fn try_redistribute<T: Scalar>(
         }
     }
 
-    let meta_in = comm.try_alltoallv(meta)?;
-    let data_in = comm.try_alltoallv(data)?;
+    let meta_in = comm.alltoallv(meta)?;
+    let data_in = comm.alltoallv(data)?;
 
     if comm.rank() >= q {
         return Ok(None); // spare: contributed pieces, owns no block

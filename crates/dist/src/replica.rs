@@ -137,12 +137,12 @@ pub fn try_refresh_buddies<T: Scalar>(
     // Queues are unbounded: post all sends, then receive.
     for j in 1..=k {
         let dst = (me + j) % p;
-        grid.comm.try_send(dst, x.local().data().to_vec())?;
+        grid.comm.send(dst, x.local().data().to_vec())?;
     }
     let mut replicas = Vec::with_capacity(k);
     for j in 1..=k {
         let src = (me + p - j) % p;
-        let data = grid.comm.try_recv::<T>(src)?;
+        let data = grid.comm.recv::<T>(src)?;
         let coords = CartGrid::rank_to_coords(src, grid.dims());
         let shape = x.dist().local_shape(&coords);
         mem::ensure_headroom(mem::bytes_of::<T>(shape.num_entries()))

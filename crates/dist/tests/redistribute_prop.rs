@@ -61,7 +61,7 @@ proptest! {
             if g.comm.rank() == victim {
                 return None; // the "dead" rank contributes nothing
             }
-            // Communication-free survivor communicator, as `try_agree`
+            // Communication-free survivor communicator, as `agree`
             // would produce it after the victim's failure.
             let survivors: Vec<usize> = (0..p).filter(|&r| r != victim).collect();
             let newcomm = g.comm.shrink(&survivors).expect("survivor is in the group");

@@ -10,17 +10,18 @@
 //! - broadcast / reduce — binomial trees;
 //! - allreduce — reduce + broadcast;
 //! - allgatherv — ring (bandwidth-optimal, `(p-1)/p · total` per link);
-//! - reduce-scatter — ring with accumulate;
+//! - reduce-scatter — pairwise exchange, combined in ring accumulation
+//!   order (see [`Comm::ireduce_scatter`]);
 //! - all-to-all — direct pairwise exchange (channels are unbounded, so
 //!   posting all sends before any receive cannot deadlock).
 //!
 //! Every collective assumes all ranks of the communicator call it in the
 //! same program order — the usual MPI contract.
 //!
-//! Each collective comes in two flavors: the fallible `try_*` form
-//! returning `Result<_, CommError>` (lost messages, crashed peers, and
-//! type mismatches surface as typed errors), and the legacy panicking
-//! form, a thin wrapper that panics with the error's display text.
+//! Every operation returns `Result<_, CommError>`: lost messages, crashed
+//! peers, and type mismatches surface as typed errors. Allreduce,
+//! allgatherv and reduce-scatter are written once, in split-phase form
+//! ([`crate::request`]); their blocking forms here post and wait at once.
 
 use crate::fabric::{CollectiveKind, Fabric, TrafficScope};
 use crate::fault::CommError;
@@ -90,12 +91,8 @@ impl Comm {
         &self.fabric
     }
 
-    // ---------------------------------------------------------------
-    // Fallible API
-    // ---------------------------------------------------------------
-
-    /// Fallible point-to-point send to communicator rank `dst`.
-    pub fn try_send<T: Elem>(&self, dst: usize, data: Vec<T>) -> Result<(), CommError> {
+    /// Point-to-point send to communicator rank `dst`.
+    pub fn send<T: Elem>(&self, dst: usize, data: Vec<T>) -> Result<(), CommError> {
         self.fabric
             .try_send(self.group[self.rank], self.group[dst], data)
     }
@@ -112,8 +109,8 @@ impl Comm {
             .try_send_kind(self.group[self.rank], self.group[dst], data, kind)
     }
 
-    /// Fallible point-to-point receive from communicator rank `src`.
-    pub fn try_recv<T: Elem>(&self, src: usize) -> Result<Vec<T>, CommError> {
+    /// Point-to-point receive from communicator rank `src`.
+    pub fn recv<T: Elem>(&self, src: usize) -> Result<Vec<T>, CommError> {
         self.fabric.try_recv(self.group[src], self.group[self.rank])
     }
 
@@ -130,8 +127,8 @@ impl Comm {
             .try_recv_kind(self.group[src], self.group[self.rank], kind)
     }
 
-    /// Fallible dissemination barrier.
-    pub fn try_barrier(&self) -> Result<(), CommError> {
+    /// Dissemination barrier.
+    pub fn barrier(&self) -> Result<(), CommError> {
         let p = self.size();
         let mut k = 1;
         while k < p {
@@ -144,9 +141,9 @@ impl Comm {
         Ok(())
     }
 
-    /// Fallible binomial-tree broadcast. The root passes the payload;
+    /// Binomial-tree broadcast. The root passes the payload;
     /// other ranks' argument is ignored (pass `Vec::new()`).
-    pub fn try_bcast<T: Elem>(&self, root: usize, data: Vec<T>) -> Result<Vec<T>, CommError> {
+    pub fn bcast<T: Elem>(&self, root: usize, data: Vec<T>) -> Result<Vec<T>, CommError> {
         self.bcast_k(root, data, CollectiveKind::Bcast)
     }
 
@@ -196,9 +193,9 @@ impl Comm {
         Ok(buf)
     }
 
-    /// Fallible binomial-tree reduce with an elementwise combiner
+    /// Binomial-tree reduce with an elementwise combiner
     /// `op(acc, incoming)`. Returns `Some(result)` on the root.
-    pub fn try_reduce<T: Elem>(
+    pub fn reduce<T: Elem>(
         &self,
         root: usize,
         data: Vec<T>,
@@ -251,101 +248,41 @@ impl Comm {
         Ok(Some(acc))
     }
 
-    /// Fallible allreduce = reduce to rank 0 + broadcast. Both legs are
-    /// charged to [`CollectiveKind::Allreduce`].
-    pub fn try_allreduce<T: Elem>(
+    /// Allreduce = reduce to rank 0 + broadcast, both legs charged to
+    /// [`CollectiveKind::Allreduce`]; [`Comm::iallreduce`] posted and
+    /// waited at once.
+    pub fn allreduce<T: Elem>(
         &self,
         data: Vec<T>,
-        op: impl Fn(&mut [T], &[T]) + Copy,
+        op: impl Fn(&mut [T], &[T]) + Copy + Send + 'static,
     ) -> Result<Vec<T>, CommError> {
-        let reduced = self.reduce_k(0, data, op, CollectiveKind::Allreduce)?;
-        self.bcast_k(0, reduced.unwrap_or_default(), CollectiveKind::Allreduce)
+        self.iallreduce(data, op).wait()
     }
 
-    /// Fallible ring allgather of variable-size blocks: returns every
-    /// rank's block, indexed by communicator rank.
-    pub fn try_allgatherv<T: Elem>(&self, data: Vec<T>) -> Result<Vec<Vec<T>>, CommError> {
-        let p = self.size();
-        let mut blocks: Vec<Option<Vec<T>>> = (0..p).map(|_| None).collect();
-        blocks[self.rank] = Some(data);
-        let right = (self.rank + 1) % p;
-        let left = (self.rank + p - 1) % p;
-        for step in 0..p.saturating_sub(1) {
-            // Send the block that arrived `step` hops ago (own block first).
-            let send_idx = (self.rank + p - step) % p;
-            let block = blocks[send_idx].clone().expect("ring allgather gap");
-            self.send_k(right, block, CollectiveKind::Allgatherv)?;
-            let recv_idx = (self.rank + p - step - 1) % p;
-            blocks[recv_idx] = Some(self.recv_k(left, CollectiveKind::Allgatherv)?);
-        }
-        Ok(blocks
-            .into_iter()
-            .map(|b| b.expect("missing block"))
-            .collect())
+    /// Ring allgather of variable-size blocks: returns every rank's
+    /// block, indexed by communicator rank; [`Comm::iallgatherv`] posted
+    /// and waited at once.
+    pub fn allgatherv<T: Elem>(&self, data: Vec<T>) -> Result<Vec<Vec<T>>, CommError> {
+        self.iallgatherv(data).wait()
     }
 
-    /// Fallible ring reduce-scatter: the input is partitioned into `p`
-    /// contiguous blocks of the given lengths (`counts.len() == p`,
+    /// Reduce-scatter: the input is partitioned into `p` contiguous
+    /// blocks of the given lengths (`counts.len() == p`,
     /// `Σ counts == data.len()`); on return each rank holds the
     /// elementwise reduction of its own block across all ranks.
-    pub fn try_reduce_scatter<T: Elem>(
+    /// [`Comm::ireduce_scatter`] posted and waited at once.
+    pub fn reduce_scatter<T: Elem>(
         &self,
         data: Vec<T>,
         counts: &[usize],
-        op: impl Fn(&mut [T], &[T]) + Copy,
+        op: impl Fn(&mut [T], &[T]) + Copy + Send + 'static,
     ) -> Result<Vec<T>, CommError> {
-        let p = self.size();
-        assert_eq!(counts.len(), p, "reduce_scatter needs one count per rank");
-        let total: usize = counts.iter().sum();
-        assert_eq!(
-            total,
-            data.len(),
-            "reduce_scatter counts must cover the buffer"
-        );
-        if p == 1 {
-            return Ok(data);
-        }
-        let offsets: Vec<usize> = counts
-            .iter()
-            .scan(0usize, |acc, &c| {
-                let o = *acc;
-                *acc += c;
-                Some(o)
-            })
-            .collect();
-        let block = |buf: &[T], i: usize| buf[offsets[i]..offsets[i] + counts[i]].to_vec();
-
-        let right = (self.rank + 1) % p;
-        let left = (self.rank + p - 1) % p;
-        // Step 0 sends the block belonging to my left neighbor-chain end;
-        // after p-1 steps the fully-reduced own block remains.
-        let mut carry = block(&data, (self.rank + 1) % p);
-        for step in 0..p - 1 {
-            self.send_k(left, carry, CollectiveKind::ReduceScatter)?;
-            let incoming: Vec<T> = self.recv_k(right, CollectiveKind::ReduceScatter)?;
-            // The incoming partial sum corresponds to block
-            // (rank + step + 2) mod p … except on the final step, where it
-            // is my own block: accumulate my contribution and continue.
-            let idx = (self.rank + step + 2) % p;
-            let mut acc = incoming;
-            let mine = block(&data, idx);
-            if acc.len() != mine.len() {
-                return Err(CommError::SizeMismatch {
-                    src: self.group[right],
-                    dst: self.group[self.rank],
-                    expected: mine.len(),
-                    got: acc.len(),
-                });
-            }
-            op(&mut acc, &mine);
-            carry = acc;
-        }
-        Ok(carry)
+        self.ireduce_scatter(data, counts, op).wait()
     }
 
-    /// Fallible direct all-to-all of variable blocks: `blocks[r]` goes to
+    /// Direct all-to-all of variable blocks: `blocks[r]` goes to
     /// rank `r`; returns the blocks received, indexed by source rank.
-    pub fn try_alltoallv<T: Elem>(&self, blocks: Vec<Vec<T>>) -> Result<Vec<Vec<T>>, CommError> {
+    pub fn alltoallv<T: Elem>(&self, blocks: Vec<Vec<T>>) -> Result<Vec<Vec<T>>, CommError> {
         let p = self.size();
         assert_eq!(blocks.len(), p, "alltoallv needs one block per rank");
         let mut out: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
@@ -364,9 +301,9 @@ impl Comm {
         Ok(out)
     }
 
-    /// Fallible gather of variable blocks to `root`; returns
+    /// Gather of variable blocks to `root`; returns
     /// `Some(blocks)` there.
-    pub fn try_gatherv<T: Elem>(
+    pub fn gatherv<T: Elem>(
         &self,
         root: usize,
         data: Vec<T>,
@@ -386,11 +323,11 @@ impl Comm {
         }
     }
 
-    /// Fallible communicator split: ranks sharing `color` form a new
+    /// Communicator split: ranks sharing `color` form a new
     /// communicator, ordered by `(key, old rank)` — `MPI_Comm_split`.
-    pub fn try_split(&self, color: usize, key: usize) -> Result<Comm, CommError> {
+    pub fn split(&self, color: usize, key: usize) -> Result<Comm, CommError> {
         let triple = vec![color, key, self.rank];
-        let all = self.try_allgatherv(triple)?;
+        let all = self.allgatherv(triple)?;
         let mut members: Vec<(usize, usize)> = all
             .iter()
             .filter(|t| t[0] == color)
@@ -427,7 +364,7 @@ impl Comm {
     /// blocked in — or about to enter — a data-plane operation fails
     /// fast with [`CommError::Revoked`], flushing all survivors out of
     /// whatever collective they were in so they can join
-    /// [`Comm::try_agree`]. Idempotent; typically called by the first
+    /// [`Comm::agree`]. Idempotent; typically called by the first
     /// rank that observes a `PeerClosed`/`Timeout`.
     pub fn revoke(&self) {
         self.fabric.revoke();
@@ -452,10 +389,10 @@ impl Comm {
     /// control plane, re-elect the next-lowest live rank, and retry —
     /// so agreement tolerates failures *during* agreement.
     ///
-    /// Contract: every surviving member must call `try_agree` after a
+    /// Contract: every surviving member must call `agree` after a
     /// failure is detected (the usual collective contract); ranks that
     /// die before voting are excluded from the result.
-    pub fn try_agree(&self) -> Result<Vec<usize>, CommError> {
+    pub fn agree(&self) -> Result<Vec<usize>, CommError> {
         let me = self.group[self.rank];
         loop {
             let live = self.live_members();
@@ -522,7 +459,7 @@ impl Comm {
     /// solver retries a poisoned contraction. A member dying
     /// mid-verdict surfaces as [`CommError::PeerClosed`], handing
     /// control to the failure-recovery path.
-    pub fn try_verdict_max(&self, value: f64) -> Result<f64, CommError> {
+    pub fn verdict_max(&self, value: f64) -> Result<f64, CommError> {
         if self.size() == 1 {
             return Ok(value);
         }
@@ -564,87 +501,6 @@ impl Comm {
             group: Arc::new(group),
             rank,
         })
-    }
-
-    // ---------------------------------------------------------------
-    // Legacy panicking wrappers
-    // ---------------------------------------------------------------
-
-    /// Point-to-point send to communicator rank `dst`.
-    pub fn send<T: Elem>(&self, dst: usize, data: Vec<T>) {
-        self.try_send(dst, data).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Point-to-point receive from communicator rank `src`.
-    pub fn recv<T: Elem>(&self, src: usize) -> Vec<T> {
-        self.try_recv(src).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Dissemination barrier.
-    pub fn barrier(&self) {
-        self.try_barrier().unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Binomial-tree broadcast. The root passes the payload; other ranks'
-    /// argument is ignored (pass `Vec::new()`).
-    pub fn bcast<T: Elem>(&self, root: usize, data: Vec<T>) -> Vec<T> {
-        self.try_bcast(root, data).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Binomial-tree reduce with an elementwise combiner
-    /// `op(acc, incoming)`. Returns `Some(result)` on the root.
-    pub fn reduce<T: Elem>(
-        &self,
-        root: usize,
-        data: Vec<T>,
-        op: impl Fn(&mut [T], &[T]) + Copy,
-    ) -> Option<Vec<T>> {
-        self.try_reduce(root, data, op)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Allreduce = reduce to rank 0 + broadcast.
-    pub fn allreduce<T: Elem>(&self, data: Vec<T>, op: impl Fn(&mut [T], &[T]) + Copy) -> Vec<T> {
-        self.try_allreduce(data, op)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Ring allgather of variable-size blocks: returns every rank's block,
-    /// indexed by communicator rank.
-    pub fn allgatherv<T: Elem>(&self, data: Vec<T>) -> Vec<Vec<T>> {
-        self.try_allgatherv(data).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Ring reduce-scatter: the input is partitioned into `p` contiguous
-    /// blocks of the given lengths (`counts.len() == p`,
-    /// `Σ counts == data.len()`); on return each rank holds the elementwise
-    /// reduction of its own block across all ranks.
-    pub fn reduce_scatter<T: Elem>(
-        &self,
-        data: Vec<T>,
-        counts: &[usize],
-        op: impl Fn(&mut [T], &[T]) + Copy,
-    ) -> Vec<T> {
-        self.try_reduce_scatter(data, counts, op)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Direct all-to-all of variable blocks: `blocks[r]` goes to rank `r`;
-    /// returns the blocks received, indexed by source rank.
-    pub fn alltoallv<T: Elem>(&self, blocks: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        self.try_alltoallv(blocks).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Gather of variable blocks to `root`; returns `Some(blocks)` there.
-    pub fn gatherv<T: Elem>(&self, root: usize, data: Vec<T>) -> Option<Vec<Vec<T>>> {
-        self.try_gatherv(root, data)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Splits the communicator: ranks sharing `color` form a new
-    /// communicator, ordered by `(key, old rank)` — `MPI_Comm_split`.
-    pub fn split(&self, color: usize, key: usize) -> Comm {
-        self.try_split(color, key).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

@@ -21,9 +21,8 @@ use std::time::Duration;
 
 /// Error type for fallible fabric and collective operations.
 ///
-/// The `Display` text of each variant is the exact message the legacy
-/// panicking API raises, so `should_panic(expected = ...)` tests keep
-/// working against the thin wrappers.
+/// The `Display` text of each variant is the human-readable message a
+/// caller reports (or panics with) when it gives up on the error.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CommError {
     /// A blocked receive exceeded the fabric's receive timeout — the

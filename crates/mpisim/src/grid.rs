@@ -82,7 +82,7 @@ impl CartGrid {
                 color += c * stride;
                 stride *= d;
             }
-            mode_comms.push(comm.try_split(color, coords[k])?);
+            mode_comms.push(comm.split(color, coords[k])?);
         }
         Ok(CartGrid {
             comm,
@@ -222,7 +222,7 @@ pub fn try_rebuild_grid(comm: Comm, orig_dims: &[usize]) -> Result<ShrinkOutcome
     let dims = choose_shrunk_dims(orig_dims, comm.size());
     let q: usize = dims.iter().product();
     let active = comm.rank() < q;
-    let part = comm.try_split(usize::from(!active), comm.rank())?;
+    let part = comm.split(usize::from(!active), comm.rank())?;
     if active {
         Ok(ShrinkOutcome::Active(Box::new(CartGrid::try_new(
             part, &dims,
@@ -234,7 +234,7 @@ pub fn try_rebuild_grid(comm: Comm, orig_dims: &[usize]) -> Result<ShrinkOutcome
 
 /// Enumerates every factorization of `p` into `d` grid dimensions
 /// (used by the experiment harness to search over grids, as the paper
-/// "test[s] all algorithms on a variety of grids … and report[s] the
+/// "test\[s\] all algorithms on a variety of grids … and report\[s\] the
 /// fastest observed running times").
 pub fn enumerate_grids(p: usize, d: usize) -> Vec<Vec<usize>> {
     let mut out = Vec::new();
@@ -295,7 +295,7 @@ mod tests {
         let results = Universe::launch(12, |c| {
             let grid = CartGrid::new(c, &[3, 2, 2]);
             let v = vec![grid.coord(0) as u64];
-            let s = grid.mode_comm(0).allreduce(v, crate::comm::sum_op);
+            let s = grid.mode_comm(0).allreduce(v, crate::comm::sum_op).unwrap();
             s[0]
         });
         assert!(results.iter().all(|&s| s == 3));
@@ -338,7 +338,10 @@ mod tests {
                 ShrinkOutcome::Active(g) => {
                     // The active grid must be fully functional: fiber
                     // communicators remapped, collectives working.
-                    let s = g.mode_comm(0).allreduce(vec![1u64], crate::comm::sum_op)[0];
+                    let s = g
+                        .mode_comm(0)
+                        .allreduce(vec![1u64], crate::comm::sum_op)
+                        .unwrap()[0];
                     (true, g.dims().to_vec(), g.comm.size(), s)
                 }
                 ShrinkOutcome::Spare(s) => (false, Vec::new(), s.size(), 0),

@@ -5,8 +5,11 @@
 //! algorithms can be implemented *and validated* faithfully: ranks are OS
 //! threads, point-to-point messages travel over per-pair channels, and the
 //! full set of collectives the Tucker kernels need (barrier, broadcast,
-//! reduce, allreduce, ring allgather, ring reduce-scatter, all-to-all,
-//! gather, comm split, Cartesian grids) is implemented on top.
+//! reduce, allreduce, ring allgather, pairwise reduce-scatter, all-to-all,
+//! gather, comm split, Cartesian grids) is implemented on top. Every
+//! operation returns a typed `Result<_, CommError>`. Allreduce, allgatherv
+//! and reduce-scatter are written once, as split-phase requests
+//! ([`request`]); their blocking forms post and wait at once.
 //!
 //! Every byte sent is counted ([`fabric::TrafficStats`]), which is how the
 //! communication-cost claims of the paper's Table 2 are validated against
@@ -24,7 +27,7 @@
 //!     let grid = CartGrid::new(comm, &[2, 2]);
 //!     let mine = vec![grid.coord(0) as u64 + 1];
 //!     // Sum over the ranks sharing my column (coordinate 1 varies).
-//!     grid.mode_comm(1).allreduce(mine, sum_op)[0]
+//!     grid.mode_comm(1).allreduce(mine, sum_op).unwrap()[0]
 //! });
 //! // Ranks in column 0 sum 1+1, column 1 sums 2+2.
 //! assert_eq!(sums, vec![2, 4, 2, 4]);
@@ -60,7 +63,7 @@ mod collective_tests {
         for p in [1, 2, 3, 4, 7, 8] {
             Universe::launch(p, |c| {
                 for _ in 0..3 {
-                    c.barrier();
+                    c.barrier().unwrap();
                 }
             });
         }
@@ -76,7 +79,7 @@ mod collective_tests {
                     } else {
                         Vec::new()
                     };
-                    c.bcast(root, data)
+                    c.bcast(root, data).unwrap()
                 });
                 for v in out {
                     assert_eq!(v, vec![42.5, -1.0, root as f64], "p={p} root={root}");
@@ -91,7 +94,7 @@ mod collective_tests {
             for root in [0, p - 1] {
                 let out = Universe::launch(p, move |c| {
                     let data = vec![c.rank() as u64, 1u64];
-                    c.reduce(root, data, sum_op)
+                    c.reduce(root, data, sum_op).unwrap()
                 });
                 let expected_sum: u64 = (0..p as u64).sum();
                 for (r, res) in out.into_iter().enumerate() {
@@ -110,7 +113,7 @@ mod collective_tests {
         for p in [1, 2, 4, 5, 8] {
             let out = Universe::launch(p, |c| {
                 let data = vec![(c.rank() + 1) as f64; 4];
-                c.allreduce(data, sum_op)
+                c.allreduce(data, sum_op).unwrap()
             });
             let want: f64 = (1..=p as u64).sum::<u64>() as f64;
             for v in out {
@@ -123,7 +126,7 @@ mod collective_tests {
     fn allreduce_max() {
         let out = Universe::launch(6, |c| {
             let data = vec![(c.rank() * 7 % 5) as i64];
-            c.allreduce(data, max_op)
+            c.allreduce(data, max_op).unwrap()
         });
         for v in out {
             assert_eq!(v[0], 4); // max of {0,2,4,1,3,0}
@@ -137,7 +140,7 @@ mod collective_tests {
                 let data: Vec<u64> = (0..c.rank() + 1)
                     .map(|i| (c.rank() * 10 + i) as u64)
                     .collect();
-                c.allgatherv(data)
+                c.allgatherv(data).unwrap()
             });
             for blocks in out {
                 assert_eq!(blocks.len(), p);
@@ -157,7 +160,7 @@ mod collective_tests {
                 // must come back as p * [2b, 2b+1].
                 let data: Vec<u64> = (0..2 * p as u64).collect();
                 let counts = vec![2usize; p];
-                c.reduce_scatter(data, &counts, sum_op)
+                c.reduce_scatter(data, &counts, sum_op).unwrap()
             });
             for (r, block) in out.into_iter().enumerate() {
                 let want: Vec<u64> = (0..2u64).map(|i| (2 * r as u64 + i) * p as u64).collect();
@@ -173,7 +176,7 @@ mod collective_tests {
         let out = Universe::launch(p, move |c| {
             let scale = (c.rank() + 1) as f64;
             let data: Vec<f64> = (0..6).map(|i| scale * i as f64).collect();
-            c.reduce_scatter(data, &counts, sum_op)
+            c.reduce_scatter(data, &counts, sum_op).unwrap()
         });
         // Sum of scales = 1+2+3 = 6.
         let offsets = [0usize, 1, 4];
@@ -192,7 +195,7 @@ mod collective_tests {
             let blocks: Vec<Vec<u64>> = (0..p)
                 .map(|dst| vec![(c.rank() * 100 + dst) as u64])
                 .collect();
-            c.alltoallv(blocks)
+            c.alltoallv(blocks).unwrap()
         });
         for (me, received) in out.into_iter().enumerate() {
             for (src, b) in received.into_iter().enumerate() {
@@ -203,7 +206,9 @@ mod collective_tests {
 
     #[test]
     fn gatherv_collects_on_root() {
-        let out = Universe::launch(4, |c| c.gatherv(2, vec![c.rank() as u32; c.rank()]));
+        let out = Universe::launch(4, |c| {
+            c.gatherv(2, vec![c.rank() as u32; c.rank()]).unwrap()
+        });
         for (r, res) in out.into_iter().enumerate() {
             if r == 2 {
                 let blocks = res.unwrap();
@@ -222,8 +227,8 @@ mod collective_tests {
         let out = Universe::launch(6, |c| {
             let color = c.rank() % 2;
             let key = 100 - c.rank();
-            let sub = c.split(color, key);
-            let gathered = sub.allgatherv(vec![c.rank() as u64]);
+            let sub = c.split(color, key).unwrap();
+            let gathered = sub.allgatherv(vec![c.rank() as u64]).unwrap();
             (sub.rank(), sub.size(), gathered)
         });
         for (r, (sub_rank, sub_size, gathered)) in out.into_iter().enumerate() {
@@ -243,9 +248,9 @@ mod collective_tests {
     fn nested_splits_work() {
         // Split twice: 8 → 2 groups of 4 → 4 groups of 2.
         let out = Universe::launch(8, |c| {
-            let sub = c.split(c.rank() / 4, c.rank());
-            let subsub = sub.split(sub.rank() / 2, sub.rank());
-            let s = subsub.allreduce(vec![c.rank() as u64], sum_op);
+            let sub = c.split(c.rank() / 4, c.rank()).unwrap();
+            let subsub = sub.split(sub.rank() / 2, sub.rank()).unwrap();
+            let s = subsub.allreduce(vec![c.rank() as u64], sum_op).unwrap();
             s[0]
         });
         assert_eq!(out, vec![1, 1, 5, 5, 9, 9, 13, 13]);
@@ -255,11 +260,11 @@ mod collective_tests {
     fn point_to_point_between_ranks() {
         let out = Universe::launch(2, |c| {
             if c.rank() == 0 {
-                c.send(1, vec![3.25f32]);
-                c.recv::<f32>(1)
+                c.send(1, vec![3.25f32]).unwrap();
+                c.recv::<f32>(1).unwrap()
             } else {
-                let got = c.recv::<f32>(0);
-                c.send(0, vec![got[0] * 2.0]);
+                let got = c.recv::<f32>(0).unwrap();
+                c.send(0, vec![got[0] * 2.0]).unwrap();
                 got
             }
         });
@@ -278,19 +283,19 @@ mod collective_tests {
         let out = u.try_run(|c| {
             // Phase 1: collectives until the failure surfaces.
             loop {
-                if c.try_allreduce(vec![1u64], sum_op).is_err() {
+                if c.allreduce(vec![1u64], sum_op).is_err() {
                     break;
                 }
             }
             c.revoke();
-            let survivors = c.try_agree().expect("agreement must succeed");
+            let survivors = c.agree().expect("agreement must succeed");
             let comm = c.shrink(&survivors).expect("caller is a survivor");
             // Phase 2: aligned post-recovery collectives on the shrunken
             // communicator (stale pre-recovery traffic is epoch-filtered).
             let mut last = 0;
             for _ in 0..3 {
                 last = comm
-                    .try_allreduce(vec![1u64], sum_op)
+                    .allreduce(vec![1u64], sum_op)
                     .expect("post-recovery collective")[0];
             }
             (survivors, comm.size(), last)
@@ -320,7 +325,7 @@ mod collective_tests {
             if c.rank() == 2 {
                 c.fabric().retire(2);
             }
-            c.try_agree()
+            c.agree()
         });
         assert_eq!(out[0], Ok(vec![0, 1]));
         assert_eq!(out[1], Ok(vec![0, 1]));
@@ -340,8 +345,8 @@ mod collective_tests {
         u.set_recv_timeout(Duration::from_millis(50));
         let _ = u.try_run(|c| {
             for _ in 0..4 {
-                let _ = c.try_allreduce(vec![1.0f64; 32], sum_op);
-                let _ = c.try_allgatherv(vec![c.rank() as u64; 8]);
+                let _ = c.allreduce(vec![1.0f64; 32], sum_op);
+                let _ = c.allgatherv(vec![c.rank() as u64; 8]);
             }
         });
         let stats = u.traffic();
@@ -358,7 +363,7 @@ mod collective_tests {
     fn traffic_accounting_allreduce() {
         let u = Universe::new(4);
         u.run(|c| {
-            let _ = c.allreduce(vec![0.0f64; 100], sum_op);
+            let _ = c.allreduce(vec![0.0f64; 100], sum_op).unwrap();
         });
         let (bytes, msgs) = u.traffic().snapshot();
         // Reduce (3 sends of 800B) + bcast (3 sends of 800B) = 4800 bytes.
@@ -376,20 +381,26 @@ mod collective_tests {
     fn collectives_charge_their_own_kind() {
         let u = Universe::new(4);
         u.run(|c| {
-            c.barrier();
-            let _ = c.bcast(1, if c.rank() == 1 { vec![1u64; 5] } else { vec![] });
-            let _ = c.reduce(0, vec![1.0f64; 3], sum_op);
-            let _ = c.allreduce(vec![1.0f64; 2], sum_op);
-            let _ = c.allgatherv(vec![c.rank() as u64; 2]);
-            let _ = c.reduce_scatter(vec![1.0f64; 4], &[1, 1, 1, 1], sum_op);
-            let _ = c.alltoallv((0..4).map(|d| vec![d as u32]).collect());
-            let _ = c.gatherv(3, vec![c.rank() as u8]);
-            let _ = c.split(c.rank() % 2, c.rank());
+            c.barrier().unwrap();
+            let _ = c
+                .bcast(1, if c.rank() == 1 { vec![1u64; 5] } else { vec![] })
+                .unwrap();
+            let _ = c.reduce(0, vec![1.0f64; 3], sum_op).unwrap();
+            let _ = c.allreduce(vec![1.0f64; 2], sum_op).unwrap();
+            let _ = c.allgatherv(vec![c.rank() as u64; 2]).unwrap();
+            let _ = c
+                .reduce_scatter(vec![1.0f64; 4], &[1, 1, 1, 1], sum_op)
+                .unwrap();
+            let _ = c
+                .alltoallv((0..4).map(|d| vec![d as u32]).collect())
+                .unwrap();
+            let _ = c.gatherv(3, vec![c.rank() as u8]).unwrap();
+            let _ = c.split(c.rank() % 2, c.rank()).unwrap();
             if c.rank() == 0 {
-                c.send(1, vec![9i64]);
+                c.send(1, vec![9i64]).unwrap();
             }
             if c.rank() == 1 {
-                let _ = c.recv::<i64>(0);
+                let _ = c.recv::<i64>(0).unwrap();
             }
         });
         let totals = u.traffic().kind_totals();

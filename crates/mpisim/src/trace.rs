@@ -319,7 +319,7 @@ mod tests {
         let u = Universe::new(2);
         u.run(|c| {
             let _s = span_mode(&c, "noop", 0);
-            let _ = c.allreduce(vec![1.0f64; 4], sum_op);
+            let _ = c.allreduce(vec![1.0f64; 4], sum_op).unwrap();
         });
         for rank in 0..2 {
             let slot = u.fabric().tracer.slot(rank);
@@ -338,14 +338,14 @@ mod tests {
             let _root = span(&c, "run");
             {
                 let _s = span_mode(&c, "TTM", 1);
-                let _ = c.allreduce(vec![1.0f64; 16], sum_op);
+                let _ = c.allreduce(vec![1.0f64; 16], sum_op).unwrap();
             }
             {
                 let _outer = span(&c, "outer");
-                let _ = c.allgatherv(vec![c.rank() as u64; 2]);
+                let _ = c.allgatherv(vec![c.rank() as u64; 2]).unwrap();
                 {
                     let _inner = span(&c, "inner");
-                    let _ = c.allreduce(vec![0.5f64; 8], sum_op);
+                    let _ = c.allreduce(vec![0.5f64; 8], sum_op).unwrap();
                 }
             }
         });

@@ -20,7 +20,7 @@ proptest! {
         let expected: Vec<f64> = (0..len)
             .map(|i| (0..p).map(|r| payload(r)[i]).sum())
             .collect();
-        let out = Universe::launch(p, move |c| c.allreduce(payload(c.rank()), sum_op));
+        let out = Universe::launch(p, move |c| c.allreduce(payload(c.rank()), sum_op).unwrap());
         for v in out {
             prop_assert_eq!(&v, &expected);
         }
@@ -35,12 +35,17 @@ proptest! {
         let root = root_pick % p;
         let data: Vec<u64> = (0..len as u64).map(|i| i * 3 + 1).collect();
         let expected = data.clone();
+        // The blocking tree and its split-phase form (a non-root rank
+        // defers its receive-and-forward to `wait`) deliver the same.
         let out = Universe::launch(p, move |c| {
             let send = if c.rank() == root { data.clone() } else { Vec::new() };
-            c.bcast(root, send)
+            let blocking = c.bcast(root, send.clone()).unwrap();
+            let split = c.ibcast(root, send).wait().unwrap();
+            (blocking, split)
         });
-        for v in out {
-            prop_assert_eq!(&v, &expected);
+        for (blocking, split) in out {
+            prop_assert_eq!(&blocking, &expected);
+            prop_assert_eq!(&split, &expected);
         }
     }
 
@@ -52,7 +57,7 @@ proptest! {
         let payload = move |rank: usize| -> Vec<u64> {
             (0..(rank % 3) + 1).map(|i| seed + (rank * 100 + i) as u64).collect()
         };
-        let out = Universe::launch(p, move |c| c.allgatherv(payload(c.rank())));
+        let out = Universe::launch(p, move |c| c.allgatherv(payload(c.rank())).unwrap());
         for blocks in out {
             prop_assert_eq!(blocks.len(), p);
             for (r, b) in blocks.iter().enumerate() {
@@ -78,7 +83,7 @@ proptest! {
             .collect();
         let counts2 = counts.clone();
         let out = Universe::launch(p, move |c| {
-            c.reduce_scatter(payload(c.rank()), &counts2, sum_op)
+            c.reduce_scatter(payload(c.rank()), &counts2, sum_op).unwrap()
         });
         let mut offset = 0;
         for (r, block) in out.into_iter().enumerate() {
@@ -88,11 +93,52 @@ proptest! {
     }
 
     #[test]
+    fn reduce_scatter_folds_in_ring_order(
+        p in 1usize..=6,
+        seed in 0u64..1000,
+        counts_seed in 0usize..100,
+    ) {
+        // f64 addition is not associative on these payloads (1e16 + 1.0
+        // rounds the 1.0 away), so only one accumulation order yields
+        // these bits: chunk r starts as rank r-1's contribution, folds in
+        // r-2, ..., r+1 (mod p) with the accumulator as the first
+        // operand, and folds in rank r's own contribution last.
+        let counts: Vec<usize> = (0..p).map(|i| (counts_seed + i * 7) % 4).collect();
+        let total: usize = counts.iter().sum();
+        let payload = move |rank: usize| -> Vec<f64> {
+            (0..total)
+                .map(|i| {
+                    let h = (seed as usize + rank * 13 + i * 5) % 7;
+                    [1e16, -1e16, 1.0, 0.5, 3.0, -1.0, 1e16 + 2.0][h]
+                })
+                .collect()
+        };
+        let counts2 = counts.clone();
+        let out = Universe::launch(p, move |c| {
+            c.reduce_scatter(payload(c.rank()), &counts2, sum_op).unwrap()
+        });
+        let mut offset = 0;
+        for (r, block) in out.into_iter().enumerate() {
+            let chunk = |q: usize| payload(q)[offset..offset + counts[r]].to_vec();
+            // Ring distance d = p is rank r itself, so it folds in last
+            // (at p = 1 the chunk is just rank 0's contribution).
+            let mut acc = chunk((r + p - 1) % p);
+            for d in 2..=p {
+                sum_op(&mut acc, &chunk((r + p - d) % p));
+            }
+            let got: Vec<u64> = block.iter().map(|x| x.to_bits()).collect();
+            let want: Vec<u64> = acc.iter().map(|x| x.to_bits()).collect();
+            prop_assert_eq!(got, want, "p={} chunk {}", p, r);
+            offset += counts[r];
+        }
+    }
+
+    #[test]
     fn alltoall_is_a_transpose(p in 1usize..=6, seed in 0u64..100) {
         let out = Universe::launch(p, move |c| {
             let blocks: Vec<Vec<u64>> =
                 (0..p).map(|dst| vec![seed + (c.rank() * 1000 + dst) as u64]).collect();
-            c.alltoallv(blocks)
+            c.alltoallv(blocks).unwrap()
         });
         for (me, rows) in out.into_iter().enumerate() {
             for (src, b) in rows.into_iter().enumerate() {
@@ -126,8 +172,8 @@ proptest! {
 
         let u = Universe::with_fault_plan(p, plan);
         let out = u.run(move |c| {
-            let summed = c.allreduce(payload(c.rank()), sum_op);
-            let gathered = c.allgatherv(payload(c.rank()));
+            let summed = c.allreduce(payload(c.rank()), sum_op).unwrap();
+            let gathered = c.allgatherv(payload(c.rank())).unwrap();
             (summed, gathered)
         });
         for (summed, gathered) in out {
@@ -165,8 +211,8 @@ proptest! {
                 .collect()
         };
         let workload = move |c: ratucker_mpi::Comm| {
-            let summed = c.allreduce(payload(c.rank()), sum_op);
-            let gathered = c.allgatherv(payload(c.rank()));
+            let summed = c.allreduce(payload(c.rank()), sum_op).unwrap();
+            let gathered = c.allgatherv(payload(c.rank())).unwrap();
             let bits: Vec<u64> = summed
                 .iter()
                 .chain(gathered.iter().flatten())
@@ -197,10 +243,10 @@ proptest! {
         // no should_panic involved.
         let out = Universe::new(p).try_run(move |c| {
             if c.rank() == 0 {
-                c.send(1, vec![1.0f64, 2.0]);
+                c.send(1, vec![1.0f64, 2.0]).unwrap();
                 Ok(())
             } else if c.rank() == 1 {
-                match c.try_recv::<u64>(0) {
+                match c.recv::<u64>(0) {
                     Err(e) => Err(e),
                     Ok(_) => Ok(()),
                 }
@@ -226,7 +272,7 @@ proptest! {
     fn split_partitions_and_preserves_ranks(p in 1usize..=8, ncolors in 1usize..4) {
         let out = Universe::launch(p, move |c| {
             let color = c.rank() % ncolors;
-            let sub = c.split(color, c.rank());
+            let sub = c.split(color, c.rank()).unwrap();
             (color, sub.rank(), sub.size())
         });
         for (rank, (color, sub_rank, sub_size)) in out.into_iter().enumerate() {

@@ -280,14 +280,14 @@ fn try_recover<T: Scalar>(
     restored: &mut Vec<usize>,
 ) -> Result<RoundsOutcome, CommError> {
     grid.comm.revoke();
-    let survivors = grid.comm.try_agree()?;
+    let survivors = grid.comm.agree()?;
     let p = grid.comm.size();
     let me = grid.comm.rank();
     let in_surv = |r: usize| survivors.contains(&grid.comm.world_rank_of(r));
     let dead: Vec<usize> = (0..p).filter(|&r| !in_surv(r)).collect();
     if dead.is_empty() {
         // Transient fault (dropped message, spurious timeout): the
-        // epoch bump in `try_agree` has already quarantined stale
+        // epoch bump in `agree` has already quarantined stale
         // traffic; retry on the same topology.
         return Ok(RoundsOutcome::Resumed);
     }
@@ -315,7 +315,7 @@ fn try_recover<T: Scalar>(
         .filter(|&&d| buddies.replica_for(d).is_some())
         .map(|&d| d as u64)
         .collect();
-    let all_holdings = newcomm.try_allgatherv(my_holdings)?;
+    let all_holdings = newcomm.allgatherv(my_holdings)?;
     // Map: old-grid comm rank → dead ranks whose replicas it holds.
     let world_to_old: std::collections::HashMap<usize, usize> =
         (0..p).map(|r| (grid.comm.world_rank_of(r), r)).collect();
@@ -484,7 +484,7 @@ fn recovery_rounds<T: Scalar>(
 /// induced-wait delta from
 /// [`ratucker_mpi::TrafficStats::induced_wait_us`]) and feeds the
 /// scores to the detector; the verdict rides the ctrl plane
-/// ([`ratucker_mpi::Comm::try_verdict_max`], encoded as
+/// ([`ratucker_mpi::Comm::verdict_max`], encoded as
 /// `comm rank + 1`) so every rank acts on the same decision even
 /// though the counters are read at slightly different instants.
 fn straggler_window(
@@ -507,7 +507,7 @@ fn straggler_window(
         0.0
     };
     *prev_wait_us = now;
-    let v = grid.comm.try_verdict_max(verdict)?;
+    let v = grid.comm.verdict_max(verdict)?;
     Ok((v > 0.0).then(|| v as usize - 1))
 }
 
@@ -812,8 +812,8 @@ pub fn dist_ra_hooi_resilient<T: IoScalar>(
                 // resuming; a mismatch is unrecoverable online — the
                 // divergent ranks hold different factor states — so it
                 // falls back to the checkpoint cleanly instead.
-                let hi = grid.comm.try_verdict_max(it as f64)? as usize;
-                let lo = (-grid.comm.try_verdict_max(-(it as f64))?) as usize;
+                let hi = grid.comm.verdict_max(it as f64)? as usize;
+                let lo = (-grid.comm.verdict_max(-(it as f64))?) as usize;
                 if hi != lo {
                     return Ok(ResilientOutcome::FallbackToCheckpoint {
                         dead: Vec::new(),
@@ -841,7 +841,7 @@ pub fn dist_ra_hooi_resilient<T: IoScalar>(
                 } else {
                     old_rung
                 };
-                let verdict = grid.comm.try_verdict_max(proposed as f64)? as u8;
+                let verdict = grid.comm.verdict_max(proposed as f64)? as u8;
                 if verdict > RUNG_FREEZE {
                     return Ok(ResilientOutcome::FallbackToCheckpoint {
                         dead: Vec::new(),

@@ -55,7 +55,7 @@ fn main() {
     // --- leg 3: schedule exploration -------------------------------
     let report = Universe::new(4).explore(12, 0xDEC0, |c| {
         let rank = c.rank();
-        c.try_allreduce(vec![(rank + 1) as f64], sum_op).unwrap()
+        c.allreduce(vec![(rank + 1) as f64], sum_op).unwrap()
     });
     assert!(report.failed_ranks.is_empty());
     println!(

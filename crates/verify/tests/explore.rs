@@ -161,7 +161,7 @@ fn recovery_workload(c: Comm) -> Vec<u64> {
     let work = || -> Result<(), CommError> {
         for _ in 0..200 {
             grid.comm
-                .try_allreduce(vec![x.local().squared_norm_f64()], sum_op)?;
+                .allreduce(vec![x.local().squared_norm_f64()], sum_op)?;
         }
         Ok(())
     };
@@ -170,7 +170,7 @@ fn recovery_workload(c: Comm) -> Vec<u64> {
     // Online recovery, mirroring the resilient driver: revoke → agree →
     // shrink → buddy-restore → re-block → rebuild the grid.
     grid.comm.revoke();
-    let survivors = grid.comm.try_agree().expect("survivors agree");
+    let survivors = grid.comm.agree().expect("survivors agree");
     let p = grid.comm.size();
     let me = grid.comm.rank();
     let in_surv = |r: usize| survivors.contains(&grid.comm.world_rank_of(r));
@@ -200,7 +200,7 @@ fn recovery_workload(c: Comm) -> Vec<u64> {
             let xb = block.expect("active ranks of the shrunken grid receive a block");
             let total = g2
                 .comm
-                .try_allreduce(vec![xb.local().squared_norm_f64()], sum_op)
+                .allreduce(vec![xb.local().squared_norm_f64()], sum_op)
                 .expect("post-recovery collective succeeds")[0];
             let mut out = vec![1u64];
             out.extend(survivors.iter().map(|&s| s as u64));

@@ -36,7 +36,7 @@ fn random_collectives(c: &Comm, seed: u64, rounds: usize) -> usize {
         match next() % 5 {
             0 => {
                 let _s = span(c, "Gram");
-                if c.try_allreduce(data, |a, b| {
+                if c.allreduce(data, |a, b| {
                     for (x, y) in a.iter_mut().zip(b) {
                         *x += *y;
                     }
@@ -48,12 +48,12 @@ fn random_collectives(c: &Comm, seed: u64, rounds: usize) -> usize {
             }
             1 => {
                 let _s = span(c, "SI");
-                if c.try_bcast(0, data).is_err() {
+                if c.bcast(0, data).is_err() {
                     failures += 1;
                 }
             }
             2 => {
-                if c.try_allgatherv(data).is_err() {
+                if c.allgatherv(data).is_err() {
                     failures += 1;
                 }
             }
@@ -64,7 +64,7 @@ fn random_collectives(c: &Comm, seed: u64, rounds: usize) -> usize {
                 let p = c.size();
                 let mut counts = vec![n / p; p];
                 counts[0] += n % p;
-                if c.try_reduce_scatter(data, &counts, |a, b| {
+                if c.reduce_scatter(data, &counts, |a, b| {
                     for (x, y) in a.iter_mut().zip(b) {
                         *x += *y;
                     }
@@ -75,7 +75,7 @@ fn random_collectives(c: &Comm, seed: u64, rounds: usize) -> usize {
                 }
             }
             _ => {
-                if c.try_barrier().is_err() {
+                if c.barrier().is_err() {
                     failures += 1;
                 }
             }
@@ -254,7 +254,7 @@ fn sessions_isolate_their_traffic() {
     // session below.
     let u0 = Universe::new(p);
     u0.run(|c| {
-        let _ = c.try_allreduce(vec![1.0f64; 8], |a, b| {
+        let _ = c.allreduce(vec![1.0f64; 8], |a, b| {
             for (x, y) in a.iter_mut().zip(b) {
                 *x += *y;
             }
@@ -265,7 +265,7 @@ fn sessions_isolate_their_traffic() {
     let session = TraceSession::start(&u);
     u.run(|c| {
         let _root = span(&c, "run");
-        let _ = c.try_allreduce(vec![1.0f64; 8], |a, b| {
+        let _ = c.allreduce(vec![1.0f64; 8], |a, b| {
             for (x, y) in a.iter_mut().zip(b) {
                 *x += *y;
             }
